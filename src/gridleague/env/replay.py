@@ -38,17 +38,32 @@ def write_replay(path, game: Game, meta: dict | None = None) -> None:
             f.write(json.dumps(ev) + "\n")
 
 
+def _json_line(path, lineno: int, line: str) -> dict:
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ReplayError(f"{path}: line {lineno}: broken JSON ({exc.msg})") from exc
+    if not isinstance(obj, dict):
+        raise ReplayError(f"{path}: line {lineno}: not a JSON object")
+    return obj
+
+
 def read_replay(path):
-    """Returns (header dict, list of event dicts)."""
+    """Returns (header dict, list of event dicts).
+
+    A line that is not a JSON object raises ReplayError naming the file and
+    the 1-based line.
+    """
     path = Path(path)
     with path.open() as f:
         lines = f.read().splitlines()
     if not lines:
         raise ReplayError(f"{path}: empty replay")
-    header = json.loads(lines[0])
+    header = _json_line(path, 1, lines[0])
     if header.get("format") != "gridleague-replay-v1":
         raise ReplayError(f"{path}: not a replay file")
-    events = [json.loads(ln) for ln in lines[1:] if ln.strip()]
+    events = [_json_line(path, i, ln) for i, ln in enumerate(lines[1:], start=2)
+              if ln.strip()]
     return header, events
 
 

@@ -4,6 +4,12 @@ re-simulates them into training windows.
 A dataset directory holds one replay JSONL per game and an index.json with
 tier/outcome metadata. Trajectories are regenerated from the action stream
 (the engine is bit-deterministic), so the on-disk size stays tiny.
+
+The loader stores the recurrent state at every window start. It encodes each
+sampled trajectory once, as one observation batch, and then runs only the
+LSTM core over the encodings; no decoder head runs. One batch holds at most
+MAX_STEPS decisions of at most MAX_UNITS slots per group, which bounds the
+memory that encoding one trajectory takes.
 """
 
 from __future__ import annotations
@@ -91,8 +97,11 @@ def generate_dataset(out_dir, n_games: int, seed: int, tier: str = "full",
 
 def load_index(dataset_dir) -> dict:
     path = Path(dataset_dir) / INDEX_NAME
-    index = json.loads(path.read_text())
-    if index.get("format") != "gridleague-dataset-v1":
+    try:
+        index = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: broken dataset index ({exc})") from exc
+    if not isinstance(index, dict) or index.get("format") != "gridleague-dataset-v1":
         raise ValueError(f"{path}: not a dataset index")
     return index
 
@@ -156,9 +165,13 @@ def cut_windows(traj: Trajectory, window: int) -> list[Window]:
 class WindowLoader:
     """Streams shuffled teacher-forced windows with stored recurrent states.
 
-    Per macro-batch: sample game sides, re-simulate, run the current net over
-    each episode (no grad) to record the state at every window start, then
-    shuffle windows into training batches.
+    Per macro-batch: sample game sides, re-simulate, record the current net's
+    state at every window start, then shuffle windows into training batches.
+    States come from encode-once annotation (no grad): each trajectory's
+    observations are encoded as one batch, and only the LSTM core recurs over
+    the padded time-major block of all trajectories. Encoding one trajectory
+    holds at most MAX_STEPS rows of at most MAX_UNITS slots per group, and the
+    block holds MAX_STEPS x games_per_macrobatch encoder rows.
     """
 
     def __init__(self, dataset_dir, window: int = 16, batch_windows: int = 16,
@@ -190,33 +203,29 @@ class WindowLoader:
 
     def _annotate_states(self, net, trajs: list[Trajectory],
                          windows_per_traj: list[list[Window]]) -> None:
-        """Batched no-grad pass over the episodes; stores h/c at window starts."""
-        live = list(range(len(trajs)))
-        h, c = net.initial_state(len(trajs))
-        t = 0
-        while live:
-            for ti in live:
-                widx, off = divmod(t, self.window)
-                if off == 0 and widx < len(windows_per_traj[ti]):
-                    windows_per_traj[ti][widx].h0 = h[ti].copy()
-                    windows_per_traj[ti][widx].c0 = c[ti].copy()
-            obs, zs, forced, idxs = [], [], [], []
-            for ti in live:
-                if t < len(trajs[ti].observations):
-                    obs.append(trajs[ti].observations[t])
-                    zs.append(trajs[ti].z)
-                    forced.append(trajs[ti].actions[t])
-                    idxs.append(ti)
-            if not obs:
-                break
-            batch = ObsBatch(obs, zs, dtype=net.dtype)
-            sel = np.array(idxs)
+        """No-grad pass that stores h/c at every window start.
+
+        A window start's state depends only on earlier steps, so the last
+        window of a trajectory is never encoded, and the zero padding past a
+        shorter trajectory's end never reaches a stored state.
+        """
+        b, w = len(trajs), self.window
+        lengths = [(len(ws) - 1) * w for ws in windows_per_traj]
+        t = max(lengths, default=0)
+        starts = [net.initial_state(b)]
+        if t:
+            block = np.zeros((t, b, net.cfg.core_input_dim), dtype=net.dtype)
             with T.no_grad():
-                out = net.step(batch, (h[sel], c[sel]), mode="teacher", forced=forced)
-            h[sel] = out.state[0].data
-            c[sel] = out.state[1].data
-            live = [ti for ti in live if t + 1 < len(trajs[ti].observations)]
-            t += 1
+                for i, (tr, n) in enumerate(zip(trajs, lengths)):
+                    if n:
+                        batch = ObsBatch(tr.observations[:n], [tr.z] * n, dtype=net.dtype)
+                        block[:n, i] = net.encode(batch)[0].data
+                _, states = net.recur(T.Tensor(block.reshape(t * b, -1)), b, t, starts[0])
+            starts += [(h.data, c.data) for h, c in states]
+        for i, ws in enumerate(windows_per_traj):
+            for k, win in enumerate(ws):
+                h, c = starts[k * w]
+                win.h0, win.c0 = h[i].copy(), c[i].copy()
 
     def macrobatches(self, net):
         """Endless stream of batch lists; each inner list is ready to train on."""

@@ -47,7 +47,6 @@ class ObsBatch:
                            for o in observations])
         self.group_n = tuple(max(1, int(counts[:, g].max())) for g in range(3))
 
-        first = observations[0]
         self.scalar = np.stack([
             np.concatenate([o.scalar.astype(dtype), encode_z(z).astype(dtype)])
             for o, z in zip(observations, zs)
@@ -69,9 +68,6 @@ class ObsBatch:
             tm[:, :, 2 * C.MAX_UNITS : 2 * C.MAX_UNITS + n2],
         ], axis=2)                                             # (B, A, n0+n1+n2)
         self.position_mask = np.stack([o.position_mask for o in observations])
-        self.players = [o.player for o in observations]
-        self.steps = [o.step for o in observations]
-        del first
 
     def local_to_global_target(self, local: int) -> int:
         n0, n1, n2 = self.group_n

@@ -12,7 +12,7 @@ additive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,8 +30,6 @@ from .modules import (
     ParamStore,
     conditioned_concat_scores,
 )
-
-STOP = object()  # sentinel in docs only; the stop slot index is group size
 
 
 def _usage_tables() -> dict[str, np.ndarray]:
@@ -55,7 +53,11 @@ def _choose(logp: np.ndarray, mode: str, forced: np.ndarray | None,
         return logp.argmax(axis=1)
     p = np.exp(logp.astype(np.float64))
     p /= p.sum(axis=1, keepdims=True)
-    return (p.cumsum(axis=1) > u[:, None]).argmax(axis=1)
+    cum = p.cumsum(axis=1)
+    # rounding can leave the total at or below u; such a draw goes to the last
+    # index with positive probability (argmax of an all-False row is index 0)
+    last = p.shape[1] - 1 - (p[:, ::-1] > 0).argmax(axis=1)
+    return np.where(cum[:, -1] > u, (cum > u[:, None]).argmax(axis=1), last)
 
 
 @dataclass
@@ -66,7 +68,6 @@ class StepOutput:
     head_logprobs: dict[str, Tensor]
     values: Tensor                         # (N, value_channels)
     state: tuple[Tensor, Tensor]
-    fixed_head_logits: dict[str, np.ndarray] = field(default_factory=dict)
     dists: dict | None = None
 
 
@@ -224,7 +225,6 @@ class PolicyNet:
             dists["action"] = (logp_a, batch.action_mask)
 
         head_lp: dict[str, Tensor] = {"action": lp_action}
-        fixed_logits = {"action": logits_a.data.copy()}
 
         # delay (1..16; head index is delay-1)
         logits_d = self.delay_head(cond)
@@ -234,7 +234,6 @@ class PolicyNet:
         used_d = _USAGE[C.HEAD_DELAY][ids].astype(self.dtype)
         lp_delay = T.mul(T.gather_last(logp_d, delay_ids), Tensor(used_d))
         head_lp["delay"] = lp_delay
-        fixed_logits["delay"] = logits_d.data.copy()
         if need_dists:
             dists["delay"] = (logp_d, None)
 
@@ -246,7 +245,6 @@ class PolicyNet:
         used_q = _USAGE[C.HEAD_QUEUED][ids].astype(self.dtype)
         lp_queued = T.mul(T.gather_last(logp_q, queued_ids), Tensor(used_q))
         head_lp["queued"] = lp_queued
-        fixed_logits["queued"] = logits_q.data.copy()
         if need_dists:
             dists["queued"] = (logp_q, None)
 
@@ -372,10 +370,15 @@ class PolicyNet:
             ))
         return StepOutput(actions=actions, action_ids=ids, joint_logprob=joint,
                           head_logprobs=head_lp, values=values, state=(None, None),
-                          fixed_head_logits=fixed_logits,
                           dists=dists if need_dists else None)
 
     # ------------------------------------------------------------------ steps
+
+    def _state_tensors(self, state) -> tuple[Tensor, Tensor]:
+        h, c = state
+        h = h if isinstance(h, Tensor) else Tensor(h.astype(self.dtype))
+        c = c if isinstance(c, Tensor) else Tensor(c.astype(self.dtype))
+        return h, c
 
     def step(self, batch: ObsBatch, state, mode: str = "sample",
              forced: list[StructuredAction] | None = None,
@@ -383,15 +386,29 @@ class PolicyNet:
              need_dists: bool = False,
              uniforms: np.ndarray | None = None) -> StepOutput:
         """One decision for a batch of independent streams."""
-        h, c = state
-        h = h if isinstance(h, Tensor) else Tensor(h.astype(self.dtype))
-        c = c if isinstance(c, Tensor) else Tensor(c.astype(self.dtype))
         enc, group_feats, skip = self.encode(batch)
-        core_out, new_state = self.core.step(enc, (h, c))
+        core_out, new_state = self.core.step(enc, self._state_tensors(state))
         out = self.decode(core_out, group_feats, skip, batch, mode, forced,
                           rng, need_dists, uniforms=uniforms)
         out.state = new_state
         return out
+
+    def recur(self, enc: Tensor, b: int, t: int, state0
+              ) -> tuple[list[Tensor], list[tuple[Tensor, Tensor]]]:
+        """Run only the LSTM core over time-major encoder rows (t*b + i).
+
+        Returns each step's core output and the state after each step.
+        """
+        if enc.shape[0] != b * t:
+            raise ValueError(f"recur: {enc.shape[0]} encoder rows != {b}x{t}")
+        state = self._state_tensors(state0)
+        core_outs, states = [], []
+        for step_i in range(t):
+            x = T.slice_axis(enc, 0, step_i * b, (step_i + 1) * b)
+            core_out, state = self.core.step(x, state)
+            core_outs.append(core_out)
+            states.append(state)
+        return core_outs, states
 
     def unroll(self, batch: ObsBatch, b: int, t: int, state0,
                forced: list[StructuredAction],
@@ -400,17 +417,9 @@ class PolicyNet:
         if batch.size != b * t or len(forced) != b * t:
             raise ValueError(f"unroll: batch of {batch.size} rows != {b}x{t}")
         enc, group_feats, skip = self.encode(batch)
-        h, c = state0
-        h = h if isinstance(h, Tensor) else Tensor(h.astype(self.dtype))
-        c = c if isinstance(c, Tensor) else Tensor(c.astype(self.dtype))
-        core_outs = []
-        state = (h, c)
-        for step_i in range(t):
-            x = T.slice_axis(enc, 0, step_i * b, (step_i + 1) * b)
-            core_out, state = self.core.step(x, state)
-            core_outs.append(core_out)
+        core_outs, states = self.recur(enc, b, t, state0)
         core_all = T.concat(core_outs, axis=0)
         out = self.decode(core_all, group_feats, skip, batch, "teacher",
                           forced, None, need_dists)
-        out.state = state
+        out.state = states[-1]
         return out

@@ -1,0 +1,62 @@
+"""Broken replays and dataset indexes fail with the loader's own errors."""
+
+import json
+
+import pytest
+
+from gridleague.env.replay import ReplayError, read_replay, verify_replay, write_replay
+from gridleague.env.script import play_scripted_match
+from gridleague.imitation import WindowLoader, generate_dataset
+from gridleague.imitation.dataset import load_index
+
+
+@pytest.fixture
+def replay(tmp_path):
+    path = tmp_path / "game.jsonl"
+    write_replay(path, play_scripted_match("RUSH", "ECON", 3, max_steps=30))
+    return path
+
+
+def test_truncation_at_every_line_boundary(replay, tmp_path):
+    lines = replay.read_text().splitlines(keepends=True)
+    _, events = read_replay(replay)
+    cut = tmp_path / "cut.jsonl"
+    for k in range(len(lines)):
+        cut.write_text("".join(lines[:k]))
+        if k == 0:
+            with pytest.raises(ReplayError, match="empty replay"):
+                read_replay(cut)
+            continue
+        assert read_replay(cut)[1] == events[: k - 1]
+        # the recorded stream is a strict prefix, so re-simulation diverges
+        with pytest.raises(ReplayError, match=str(cut)):
+            verify_replay(cut)
+
+
+@pytest.mark.parametrize("line", [1, 5])
+def test_truncation_mid_line_names_file_and_line(replay, tmp_path, line):
+    lines = replay.read_text().splitlines(keepends=True)
+    cut = tmp_path / "cut.jsonl"
+    cut.write_text("".join(lines[: line - 1]) + lines[line - 1][: len(lines[line - 1]) // 2])
+    with pytest.raises(ReplayError, match=f"{cut}: line {line}: broken JSON") as info:
+        read_replay(cut)
+    assert not isinstance(info.value, json.JSONDecodeError)
+
+
+def test_event_line_must_be_an_object(replay):
+    replay.write_text(replay.read_text() + "[1, 2]\n")
+    with pytest.raises(ReplayError, match="not a JSON object"):
+        read_replay(replay)
+
+
+def test_broken_index_names_path(tmp_path):
+    generate_dataset(tmp_path, n_games=1, seed=1, max_steps=30)
+    path = tmp_path / "index.json"
+    path.write_text(path.read_text()[:40])
+    for load in (load_index, WindowLoader):
+        with pytest.raises(ValueError, match="index.json: broken dataset index") as info:
+            load(tmp_path)
+        assert type(info.value) is ValueError
+    path.write_text("[]")
+    with pytest.raises(ValueError, match="not a dataset index"):
+        load_index(tmp_path)
