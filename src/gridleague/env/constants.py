@@ -28,6 +28,8 @@ MAX_STEPS = 1500
 DELAY_CHOICES = 16           # delay head picks 1..16 env steps
 MAX_SELECTED = 8             # selected-units head emits at most 8 picks
 BUILD_ORDER_K = 8            # z statistic keeps the first K constructions
+SCALAR_FEATS = 12            # observation scalars: economy, supply, time, counts
+UNIT_FEATS = 8               # x, y, hp, build progress, carrying, attack cd, idle, queue
 
 MOBILE_TYPES = (WORKER, LIGHT, RAIDER, SIEGE)
 BUILDING_TYPES = (BASE, BARRACKS, FACTORY)

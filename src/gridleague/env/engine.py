@@ -4,6 +4,11 @@ Both players act simultaneously; each env step resolves sub-steps in a fixed
 order (move -> attack -> harvest -> produce), so there is no turn-order
 asymmetry. Everything iterates in unit-id order: (seed, action sequence)
 fully determines a trajectory, bit for bit.
+
+``Game.units`` is always in ascending uid order without sorting: uids only
+grow, ``_spawn`` appends, and ``del`` keeps the order of the rest. Code that
+spawns while it iterates walks a ``list(...)`` snapshot, so new units wait
+for the next step.
 """
 
 from __future__ import annotations
@@ -25,6 +30,10 @@ _RING = sorted(
     key=lambda d: (max(abs(d[0]), abs(d[1])), d[1], d[0]),
 )
 
+# _SELECTABLE[action, type]: the pointer head may pick a complete unit of that type
+_SELECTABLE = np.array([[t in C.SELECTABLE.get(a, ()) for t in range(len(C.TYPE_NAMES))]
+                        for a in range(C.N_ACTIONS)], dtype=bool)
+
 
 class Game:
     def __init__(self, seed: int, variant: str = "triton_toy",
@@ -44,7 +53,7 @@ class Game:
         self.events: list[dict] = []
         self.attrition = 0            # minerals carried by workers that died
         self._next_uid = 0
-        self._obs_cache: dict[int, Observation] = {}
+        self._given: list[Observation | None] = [None, None]   # last observe() per player
         self._height = self._height_plane(variant)
         self._setup(variant)
 
@@ -90,7 +99,7 @@ class Game:
                                 "kind": kind, "payload": payload})
 
     def player_units(self, player: int) -> list[Unit]:
-        return [u for uid, u in sorted(self.units.items()) if u.player == player]
+        return [u for u in self.units.values() if u.player == player]
 
     def entity_count(self, player: int) -> int:
         return sum(1 for u in self.units.values() if u.player == player)
@@ -123,33 +132,32 @@ class Game:
         return vis
 
     def _groups(self, player: int, vis: np.ndarray):
-        mine = [u for uid, u in sorted(self.units.items()) if u.player == player]
-        enemy = [u for uid, u in sorted(self.units.items())
-                 if u.player == 1 - player and vis[u.x, u.y]]
-        neutral = [u for uid, u in sorted(self.units.items())
-                   if u.player == -1 and u.remaining > 0]
+        mine, enemy, neutral = [], [], []
+        for u in self.units.values():
+            if u.player == player:
+                mine.append(u)
+            elif u.player == -1:
+                if u.remaining > 0:
+                    neutral.append(u)
+            elif vis[u.x, u.y]:
+                enemy.append(u)
         return mine, enemy, neutral
 
     # ------------------------------------------------------------ observation
 
     def observe(self, player: int) -> Observation:
-        cached = self._obs_cache.get(player)
-        if cached is not None and cached.step == self.step_count and not self.done:
-            return cached
         vis = self.visibility(player)
         mine, enemy, neutral = self._groups(player, vis)
         groups = (mine, enemy, neutral)
 
         n = C.MAX_UNITS
         unit_type = np.zeros((3, n), dtype=np.int32)
-        unit_owner = np.zeros((3, n), dtype=np.int32)
-        unit_cont = np.zeros((3, n, Observation.CONT_FEATS), dtype=np.float32)
+        unit_cont = np.zeros((3, n, C.UNIT_FEATS), dtype=np.float32)
         unit_mask = np.zeros((3, n), dtype=np.float32)
         slot_uid = np.full((3, n), -1, dtype=np.int32)
         for g, members in enumerate(groups):
             for i, u in enumerate(members[:n]):
                 unit_type[g, i] = u.type
-                unit_owner[g, i] = g
                 maxhp = C.UNIT_HP.get(u.type, 1)
                 hp_frac = u.remaining / C.MINERAL_PATCH_AMOUNT if u.type == C.MINERAL \
                     else u.hp / maxhp
@@ -194,72 +202,53 @@ class Game:
 
         obs = Observation(
             player=player, step=self.step_count, scalar=scalar, spatial=spatial,
-            unit_type=unit_type, unit_owner=unit_owner, unit_cont=unit_cont,
+            unit_type=unit_type, unit_cont=unit_cont,
             unit_mask=unit_mask, slot_uid=slot_uid,
             **self._legality(player, mine, enemy, neutral),
         )
-        self._obs_cache[player] = obs
+        self._given[player] = obs
         return obs
 
     def _legality(self, player: int, mine, enemy, neutral) -> dict:
         n = C.MAX_UNITS
-        ps = self.players[player]
+        minerals = self.players[player].minerals
         action_mask = np.zeros(C.N_ACTIONS, dtype=bool)
         select_mask = np.zeros((C.N_ACTIONS, n), dtype=bool)
         target_mask = np.zeros((C.N_ACTIONS, 3 * n), dtype=bool)
         position_mask = np.zeros((C.N_ACTIONS, C.GRID * C.GRID), dtype=bool)
         free = self._static_free().reshape(-1)
-        count = len(mine)
-        cap_room = count < C.MAX_UNITS
+        slots = mine[:n]
+        types = [u.type for u in slots]
+        complete = np.array([u.complete for u in slots], dtype=bool)
+        select_mask[:, :len(slots)] = _SELECTABLE[:, types] & complete
+        has_sel = select_mask.any(axis=1)
+        cap_room = len(mine) < C.MAX_UNITS
         owned_complete = {u.type for u in mine if u.complete}
+        supply_room = self.supply_cap(player) - self.supply_used(player)
 
         action_mask[C.NOOP] = True
-        for a in range(C.N_ACTIONS):
-            if a == C.NOOP:
-                continue
-            eligible = C.SELECTABLE[a]
-            for i, u in enumerate(mine[:n]):
-                if u.type in eligible and u.complete:
-                    select_mask[a, i] = True
-            has_sel = select_mask[a].any()
-            if a in (C.MOVE, C.STOP):
-                action_mask[a] = has_sel
-                if a == C.MOVE:
-                    position_mask[a, :] = True
-            elif a == C.ATTACK:
-                for j, u in enumerate(enemy[:n]):
-                    target_mask[a, n + j] = True
-                action_mask[a] = has_sel and bool(target_mask[a].any())
-            elif a == C.HARVEST:
-                for j, u in enumerate(neutral[:n]):
-                    target_mask[a, 2 * n + j] = True
-                action_mask[a] = has_sel and bool(target_mask[a].any())
-            elif a in C.BUILD_ACTION_TYPE:
-                btype = C.BUILD_ACTION_TYPE[a]
-                req = C.TECH_REQUIREMENT[btype]
-                position_mask[a, :] = free
-                action_mask[a] = (has_sel and cap_room
-                                  and ps.minerals >= C.MINERAL_COST[btype]
-                                  and (req is None or req in owned_complete)
-                                  and bool(free.any()))
-            elif a in C.TRAIN_ACTION_TYPE:
-                ttype = C.TRAIN_ACTION_TYPE[a]
-                room = self.supply_used(player) + C.SUPPLY_COST[ttype] <= self.supply_cap(player)
-                action_mask[a] = (has_sel and cap_room and room
-                                  and ps.minerals >= C.MINERAL_COST[ttype])
-            if not action_mask[a]:
-                select_mask[a, :] = False
-                target_mask[a, :] = False
-                position_mask[a, :] = False
+        action_mask[[C.MOVE, C.STOP]] = has_sel[[C.MOVE, C.STOP]]
+        position_mask[C.MOVE] = True
+        target_mask[C.ATTACK, n:n + len(enemy[:n])] = True
+        action_mask[C.ATTACK] = has_sel[C.ATTACK] and bool(enemy)
+        target_mask[C.HARVEST, 2 * n:2 * n + len(neutral[:n])] = True
+        action_mask[C.HARVEST] = has_sel[C.HARVEST] and bool(neutral)
+        for a, btype in C.BUILD_ACTION_TYPE.items():
+            req = C.TECH_REQUIREMENT[btype]
+            position_mask[a] = free
+            action_mask[a] = (has_sel[a] and cap_room and minerals >= C.MINERAL_COST[btype]
+                              and (req is None or req in owned_complete) and bool(free.any()))
+        for a, ttype in C.TRAIN_ACTION_TYPE.items():
+            action_mask[a] = (has_sel[a] and cap_room and C.SUPPLY_COST[ttype] <= supply_room
+                              and minerals >= C.MINERAL_COST[ttype])
+        illegal = ~action_mask
+        select_mask[illegal] = False
+        target_mask[illegal] = False
+        position_mask[illegal] = False
         return {"action_mask": action_mask, "select_mask": select_mask,
                 "target_mask": target_mask, "position_mask": position_mask}
 
     # ------------------------------------------------------------ acting
-
-    def legality_masks(self, player: int) -> dict:
-        obs = self.observe(player)
-        return {"action_mask": obs.action_mask, "select_mask": obs.select_mask,
-                "target_mask": obs.target_mask, "position_mask": obs.position_mask}
 
     def _resolve_slot(self, obs: Observation, group: int, slot: int) -> Unit | None:
         uid = int(obs.slot_uid[group, slot])
@@ -289,7 +278,11 @@ class Game:
         return True
 
     def _apply_action(self, player: int, act: StructuredAction) -> None:
-        obs = self.observe(player)
+        # slots refer to what the player was shown this step, not to the
+        # state after the other player's action
+        obs = self._given[player]
+        if obs is None or obs.step != self.step_count:
+            obs = self.observe(player)
         self._event(player, "action", {"action": act.to_dict()})
         if not self._validate(obs, act):
             self._event(player, "illegal_action", {"action": act.to_dict()})
@@ -370,7 +363,6 @@ class Game:
         self._substep_harvest()
         self._substep_produce()
         self.step_count += 1
-        self._obs_cache.clear()
         self._check_end()
 
     def _tick_cooldowns(self) -> None:
@@ -405,20 +397,18 @@ class Game:
         return None
 
     def _nearest(self, u: Unit, pred) -> Unit | None:
-        best = None
-        best_key = None
-        for uid, v in sorted(self.units.items()):
-            if not pred(v):
-                continue
-            key = (cheby(u.x, u.y, v.x, v.y), uid)
-            if best_key is None or key < best_key:
-                best, best_key = v, key
+        """The closest unit matching ``pred``; ties go to the lowest uid."""
+        best, best_d = None, None
+        for v in self.units.values():
+            if pred(v):
+                d = cheby(u.x, u.y, v.x, v.y)
+                if best is None or d < best_d:
+                    best, best_d = v, d
         return best
 
     def _substep_move(self) -> None:
-        for uid in sorted(self.units):
-            u = self.units.get(uid)
-            if u is None or u.is_building or u.type == C.MINERAL:
+        for u in self.units.values():
+            if u.is_building or u.type == C.MINERAL:
                 continue
             order = u.current_order()
             if order is None:
@@ -445,8 +435,7 @@ class Game:
     def _substep_attack(self) -> None:
         damage: dict[int, int] = {}
         hitters: list[tuple[Unit, Unit]] = []
-        for uid in sorted(self.units):
-            u = self.units[uid]
+        for u in self.units.values():
             if u.type not in C.MOBILE_TYPES or not u.complete or u.attack_cd > 0:
                 continue
             order = u.current_order()
@@ -480,9 +469,8 @@ class Game:
                 del self.units[tid]
 
     def _substep_harvest(self) -> None:
-        for uid in sorted(self.units):
-            u = self.units.get(uid)
-            if u is None or u.type != C.WORKER:
+        for u in self.units.values():
+            if u.type != C.WORKER:
                 continue
             order = u.current_order()
             if order is None or order.kind != "harvest":
@@ -505,10 +493,7 @@ class Game:
 
     def _substep_produce(self) -> None:
         free = None
-        for uid in sorted(self.units):
-            u = self.units.get(uid)
-            if u is None:
-                continue
+        for u in list(self.units.values()):
             if u.is_building and not u.complete:
                 u.build_progress = min(1.0, u.build_progress + 1.0 / C.BUILD_TIME[u.type])
                 if u.complete:

@@ -21,6 +21,9 @@ class ReplayError(ValueError):
 def write_replay(path, game: Game, meta: dict | None = None) -> None:
     if not game.done:
         raise ReplayError("refusing to write a replay for an unfinished game")
+    if not game.record_events:
+        raise ReplayError("refusing to write a replay for a game played without "
+                          "recording events")
     header = {
         "format": "gridleague-replay-v1",
         "seed": game.seed,
@@ -52,7 +55,8 @@ def read_replay(path):
     """Returns (header dict, list of event dicts).
 
     A line that is not a JSON object raises ReplayError naming the file and
-    the 1-based line.
+    the 1-based line; so does a replay whose last event is not the ``end``
+    event at the header's ``end_step`` (a file cut at a line boundary).
     """
     path = Path(path)
     with path.open() as f:
@@ -64,6 +68,10 @@ def read_replay(path):
         raise ReplayError(f"{path}: not a replay file")
     events = [_json_line(path, i, ln) for i, ln in enumerate(lines[1:], start=2)
               if ln.strip()]
+    last = events[-1] if events else {}
+    if last.get("kind") != "end" or last.get("step") != header.get("end_step"):
+        raise ReplayError(f"{path}: line {len(lines)}: truncated replay (last event is "
+                          f"not 'end' at step {header.get('end_step')})")
     return header, events
 
 

@@ -283,12 +283,6 @@ class ScriptedPolicy:
         return choices[int(self.rng.integers(0, len(choices)))]
 
 
-def scripted_policy(archetype: str, obs: Observation,
-                    rng: np.random.Generator) -> StructuredAction:
-    """Stateless entry point; prefer ScriptedPolicy for a whole game."""
-    return ScriptedPolicy(archetype, rng).act(obs)
-
-
 def play_scripted_match(arch0: str, arch1: str, seed: int,
                         variant: str = "triton_toy",
                         max_steps: int = C.MAX_STEPS,

@@ -16,7 +16,6 @@ class Order:
     x: int = -1
     y: int = -1
     build_type: int = -1
-    paid: bool = False              # build orders pay when construction starts
 
 
 @dataclass
@@ -144,20 +143,13 @@ class Observation:
 
     player: int
     step: int
-    scalar: np.ndarray              # (SCALAR_DIM,) f32
+    scalar: np.ndarray              # (SCALAR_FEATS,) f32
     spatial: np.ndarray             # (G, G, C) f32
     unit_type: np.ndarray           # (3, MAX_UNITS) int32
-    unit_owner: np.ndarray          # (3, MAX_UNITS) int32
-    unit_cont: np.ndarray           # (3, MAX_UNITS, CONT_FEATS) f32
+    unit_cont: np.ndarray           # (3, MAX_UNITS, UNIT_FEATS) f32
     unit_mask: np.ndarray           # (3, MAX_UNITS) f32 {0,1}
     slot_uid: np.ndarray            # (3, MAX_UNITS) int32
     action_mask: np.ndarray         # (N_ACTIONS,) bool
     select_mask: np.ndarray         # (N_ACTIONS, MAX_UNITS) bool
     target_mask: np.ndarray         # (N_ACTIONS, 3*MAX_UNITS) bool
     position_mask: np.ndarray       # (N_ACTIONS, G*G) bool
-
-    SCALAR_DIM = 12
-    CONT_FEATS = 8   # x, y, hp, build progress, carrying, attack cd, idle, queue
-
-    def my_valid_count(self) -> int:
-        return int(self.unit_mask[0].sum())

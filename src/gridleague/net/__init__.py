@@ -1,3 +1,3 @@
 from .batch import ObsBatch, encode_z
-from .config import ENV_SCALAR_DIM, Z_DIM, NetConfig
+from .config import Z_DIM, NetConfig
 from .policy import PolicyNet, StepOutput

@@ -13,8 +13,6 @@ from ..env import constants as C
 Z_SLOT_VOCAB = C.N_CONSTRUCTIBLE + 1
 Z_DIM = C.BUILD_ORDER_K * Z_SLOT_VOCAB + C.N_CONSTRUCTIBLE
 
-ENV_SCALAR_DIM = 12
-
 
 @dataclass(frozen=True)
 class NetConfig:
@@ -35,8 +33,8 @@ class NetConfig:
     type_vocab: int = len(C.TYPE_NAMES)
     type_emb: int = 16
     owner_emb: int = 8
-    cont_feats: int = 8
-    scalar_dim: int = ENV_SCALAR_DIM + Z_DIM
+    cont_feats: int = C.UNIT_FEATS
+    scalar_dim: int = C.SCALAR_FEATS + Z_DIM
     action_emb: int = 64
     pos_hidden: int = 256
     conv1_channels: int = 8

@@ -8,6 +8,7 @@ Layout (little-endian):
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -37,14 +38,32 @@ def save_checkpoint(path, params: dict, arch_hash: int, version: int) -> None:
     tmp.replace(path)
 
 
+def _take(path, raw: memoryview, off: int, size: int) -> tuple[memoryview, int]:
+    """The ``size`` bytes at ``off`` and the offset after them."""
+    end = off + size
+    if end > len(raw):
+        raise CheckpointError(f"{path}: truncated at byte {len(raw)} "
+                              f"(field at byte {off} needs {size} bytes)")
+    return raw[off:end], end
+
+
+def _header(path, raw: memoryview) -> tuple[tuple, int]:
+    """(arch_hash, count, version) and the offset of the first parameter."""
+    magic, off = _take(path, raw, 0, len(MAGIC))
+    if magic != MAGIC:
+        raise CheckpointError(f"{path}: bad magic at byte 0")
+    fields, off = _take(path, raw, off, 24)
+    return struct.unpack("<QQQ", fields), off
+
+
 def load_checkpoint(path, expected_arch_hash: int | None = None):
-    """Returns (params: dict[str, float32 ndarray], arch_hash, version)."""
-    raw = Path(path).read_bytes()
-    if raw[: len(MAGIC)] != MAGIC:
-        raise CheckpointError(f"{path}: bad magic")
-    off = len(MAGIC)
-    arch_hash, count, version = struct.unpack_from("<QQQ", raw, off)
-    off += 24
+    """Returns (params: dict[str, float32 ndarray], arch_hash, version).
+
+    Truncated or corrupt bytes raise CheckpointError naming the file and the
+    byte offset.
+    """
+    raw = memoryview(Path(path).read_bytes())
+    (arch_hash, count, version), off = _header(path, raw)
     if expected_arch_hash is not None and arch_hash != expected_arch_hash:
         raise CheckpointError(
             f"{path}: architecture hash mismatch "
@@ -52,26 +71,24 @@ def load_checkpoint(path, expected_arch_hash: int | None = None):
         )
     params: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<I", raw, off)
-        off += 4
-        name = raw[off : off + name_len].decode("utf-8")
-        off += name_len
-        (rank,) = struct.unpack_from("<I", raw, off)
-        off += 4
-        dims = struct.unpack_from(f"<{rank}I", raw, off)
-        off += 4 * rank
-        n = int(np.prod(dims)) if rank else 1
-        arr = np.frombuffer(raw, dtype="<f4", count=n, offset=off).reshape(dims)
-        off += 4 * n
-        params[name] = arr.copy()
+        field, name_at = _take(path, raw, off, 4)
+        name, off = _take(path, raw, name_at, struct.unpack("<I", field)[0])
+        try:
+            name = str(name, "utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"{path}: byte {name_at}: parameter name is not UTF-8") from None
+        field, off = _take(path, raw, off, 4)
+        (rank,) = struct.unpack("<I", field)
+        field, off = _take(path, raw, off, 4 * rank)
+        dims = struct.unpack(f"<{rank}I", field)
+        data, off = _take(path, raw, off, 4 * math.prod(dims))
+        params[name] = np.frombuffer(data, dtype="<f4").reshape(dims).copy()
     if off != len(raw):
-        raise CheckpointError(f"{path}: trailing bytes after last parameter")
+        raise CheckpointError(f"{path}: trailing bytes after last parameter at byte {off}")
     return params, arch_hash, version
 
 
 def peek_version(path) -> int:
-    raw = Path(path).open("rb").read(len(MAGIC) + 24)
-    if raw[: len(MAGIC)] != MAGIC:
-        raise CheckpointError(f"{path}: bad magic")
-    _, _, version = struct.unpack_from("<QQQ", raw, len(MAGIC))
-    return version
+    with Path(path).open("rb") as f:
+        raw = memoryview(f.read(len(MAGIC) + 24))
+    return _header(path, raw)[0][2]

@@ -1,9 +1,8 @@
-"""Shared test utilities: real observations, tiny gradcheck config, permuters."""
+"""Shared test utilities: a tiny gradcheck config and random legal play."""
 
 import numpy as np
 
-from gridleague.env import Game, ScriptedPolicy, constants as C
-from gridleague.env.types import Observation, StructuredAction
+from gridleague.env import StructuredAction, constants as C
 from gridleague.net import NetConfig
 
 # small enough that central differences over every parameter stay fast
@@ -13,67 +12,19 @@ TINY_NET = NetConfig(d_model=6, attn_heads=2, head_size=3, transformer_layers=1,
                      conv1_channels=2, conv2_channels=2)
 
 
-def harvest_decisions(seed=0, variant="triton_toy", n=16, arch0="BALANCED",
-                      arch1="ECON", scout=False):
-    """Observation/action pairs from a live scripted game (side 0)."""
-    game = Game(seed, variant)
-    if scout:
-        game._spawn(C.RAIDER, 0, 12, 12)   # make some enemies visible
-    pols = [ScriptedPolicy(arch0, np.random.default_rng(seed + 1)),
-            ScriptedPolicy(arch1, np.random.default_rng(seed + 2))]
-    due = [0, 0]
-    pairs = []
-    while not game.done and len(pairs) < n:
-        acts = {}
-        for p in (0, 1):
-            if game.step_count >= due[p]:
-                obs = game.observe(p)
-                a = pols[p].act(obs)
-                acts[p] = a
-                due[p] = game.step_count + a.delay
-                if p == 0:
-                    pairs.append((obs, a))
-        game.step_env(acts)
-    return pairs
-
-
-def permute_observation(obs: Observation, group: int, perm: np.ndarray) -> Observation:
-    """Reorder the valid slots of one group (padding slots stay in place)."""
-    count = int(obs.unit_mask[group].sum())
-    assert len(perm) == count
-    full = np.arange(C.MAX_UNITS)
-    full[:count] = perm
-    new = Observation(
-        player=obs.player, step=obs.step, scalar=obs.scalar.copy(),
-        spatial=obs.spatial.copy(),
-        unit_type=obs.unit_type.copy(), unit_owner=obs.unit_owner.copy(),
-        unit_cont=obs.unit_cont.copy(), unit_mask=obs.unit_mask.copy(),
-        slot_uid=obs.slot_uid.copy(), action_mask=obs.action_mask.copy(),
-        select_mask=obs.select_mask.copy(), target_mask=obs.target_mask.copy(),
-        position_mask=obs.position_mask.copy(),
-    )
-    new.unit_type[group] = obs.unit_type[group][full]
-    new.unit_owner[group] = obs.unit_owner[group][full]
-    new.unit_cont[group] = obs.unit_cont[group][full]
-    new.unit_mask[group] = obs.unit_mask[group][full]
-    new.slot_uid[group] = obs.slot_uid[group][full]
-    if group == 0:
-        new.select_mask = obs.select_mask[:, full]
-    off = group * C.MAX_UNITS
-    tm = obs.target_mask.copy()
-    tm[:, off : off + C.MAX_UNITS] = obs.target_mask[:, off : off + C.MAX_UNITS][:, full]
-    new.target_mask = tm
-    return new
-
-
-def permute_action(action: StructuredAction, group: int, perm: np.ndarray) -> StructuredAction:
-    """Remap slot references after permute_observation(group, perm)."""
-    inv = {int(old): new for new, old in enumerate(perm)}
-    a = StructuredAction.from_dict(action.to_dict())
-    if group == 0 and a.selected_units:
-        a.selected_units = [inv[s] for s in a.selected_units]
-    if a.target_unit is not None:
-        g, i = divmod(a.target_unit, C.MAX_UNITS)
-        if g == group and i in inv:
-            a.target_unit = g * C.MAX_UNITS + inv[i]
-    return a
+def random_legal_action(obs, rng):
+    """A uniformly drawn action whose every used head obeys the masks."""
+    legal = np.flatnonzero(obs.action_mask)
+    a = int(rng.choice(legal))
+    act = StructuredAction(a, delay=int(rng.integers(1, 5)),
+                           queued=int(rng.integers(0, 2)))
+    used = C.HEAD_USAGE[a]
+    if C.HEAD_SELECTED_UNITS in used:
+        sel = np.flatnonzero(obs.select_mask[a])
+        k = int(rng.integers(1, min(len(sel), C.MAX_SELECTED) + 1))
+        act.selected_units = [int(s) for s in rng.choice(sel, size=k, replace=False)]
+    if C.HEAD_TARGET_UNIT in used:
+        act.target_unit = int(rng.choice(np.flatnonzero(obs.target_mask[a])))
+    if C.HEAD_TARGET_POSITION in used:
+        act.target_position = int(rng.choice(np.flatnonzero(obs.position_mask[a])))
+    return act

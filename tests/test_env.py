@@ -1,5 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
+from _helpers import random_legal_action
+from hypothesis import given, settings, strategies as st
 
 from gridleague.env import (
     Game,
@@ -14,7 +18,7 @@ from gridleague.env import (
 
 
 def _obs_bytes(obs):
-    parts = [obs.scalar, obs.spatial, obs.unit_type, obs.unit_owner, obs.unit_cont,
+    parts = [obs.scalar, obs.spatial, obs.unit_type, obs.unit_cont,
              obs.unit_mask, obs.slot_uid, obs.action_mask, obs.select_mask,
              obs.target_mask, obs.position_mask]
     return b"".join(np.ascontiguousarray(p).tobytes() for p in parts)
@@ -91,33 +95,17 @@ def test_counter_triangle_light_kills_raider_first():
     assert g.units[light.uid].hp == C.UNIT_HP[C.LIGHT] - 5 * C.UNIT_DMG[C.RAIDER]
 
 
-def _random_legal_action(obs, rng):
-    legal = np.flatnonzero(obs.action_mask)
-    a = int(rng.choice(legal))
-    act = StructuredAction(a, delay=int(rng.integers(1, 5)),
-                           queued=int(rng.integers(0, 2)))
-    used = C.HEAD_USAGE[a]
-    if C.HEAD_SELECTED_UNITS in used:
-        sel = np.flatnonzero(obs.select_mask[a])
-        k = int(rng.integers(1, min(len(sel), C.MAX_SELECTED) + 1))
-        act.selected_units = [int(s) for s in rng.choice(sel, size=k, replace=False)]
-    if C.HEAD_TARGET_UNIT in used:
-        act.target_unit = int(rng.choice(np.flatnonzero(obs.target_mask[a])))
-    if C.HEAD_TARGET_POSITION in used:
-        act.target_position = int(rng.choice(np.flatnonzero(obs.position_mask[a])))
-    return act
-
-
-def test_mineral_conservation_and_zero_sum_after_random_play():
+@pytest.mark.parametrize("variant", sorted(C.MAP_VARIANTS))
+def test_mineral_conservation_and_zero_sum_after_random_play(variant):
     rng = np.random.default_rng(99)
-    g = Game(5, "kairos_toy", max_steps=1000)
+    g = Game(5, variant, max_steps=1000)
     initial_patch_total = sum(u.remaining for u in g.units.values() if u.type == C.MINERAL)
     due = [0, 0]
     while not g.done:
         acts = {}
         for p in (0, 1):
             if g.step_count >= due[p]:
-                act = _random_legal_action(g.observe(p), rng)
+                act = random_legal_action(g.observe(p), rng)
                 acts[p] = act
                 due[p] = g.step_count + act.delay
         g.step_env(acts)
@@ -141,7 +129,6 @@ def test_fog_of_war_hides_distant_enemies():
     assert obs.unit_mask[1].sum() == 0
     # plant a scout next to the enemy base and the enemy appears
     g._spawn(C.RAIDER, 0, 13, 12)
-    g._obs_cache.clear()
     obs = g.observe(0)
     assert obs.unit_mask[1].sum() > 0
     # every visible enemy really is within some friendly unit's vision
@@ -161,11 +148,76 @@ def test_legality_masks_track_resources_and_tech():
     assert not obs.action_mask[C.TRAIN_LIGHT]       # no barracks
     assert not obs.action_mask[C.BUILD_FACTORY]     # barracks prerequisite missing
     g.players[0].minerals = 0
-    g._obs_cache.clear()
     obs = g.observe(0)
     for a in list(C.TRAIN_ACTION_TYPE) + list(C.BUILD_ACTION_TYPE):
         assert not obs.action_mask[a], f"{C.ACTION_NAMES[a]} should be masked at 0 minerals"
     assert obs.action_mask[C.NOOP]
+
+
+_JUDGE = Game(0)   # _validate reads only the observation and the action
+
+
+@functools.cache
+def _observation_pool():
+    """Observations seen in random legal play and in a teching scripted game."""
+    pool = []
+    for variant in sorted(C.MAP_VARIANTS):
+        rng = np.random.default_rng(3)
+        g = Game(4, variant, max_steps=200)
+        while not g.done:
+            acts = {p: random_legal_action(g.observe(p), rng) for p in (0, 1)
+                    if g.step_count % 5 == 0}
+            pool += [g.observe(p) for p in acts]
+            g.step_env(acts)
+    g = Game(6, "kairos_toy", max_steps=400)
+    pols = [ScriptedPolicy(a, np.random.default_rng(p)) for p, a in enumerate(("ECON", "TURTLE"))]
+    while not g.done:
+        if g.step_count % 20 == 0:
+            pool += [g.observe(p) for p in (0, 1)]
+        g.step_env({p: pols[p].act(g.observe(p)) for p in (0, 1)})
+    return pool
+
+
+def _index(data, row, limit):
+    """A cell the mask row allows, or any integer at or just past the bounds."""
+    anywhere = st.integers(-1, limit)
+    allowed = np.flatnonzero(row).tolist()
+    return data.draw(st.sampled_from(allowed) | anywhere if allowed else anywhere)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_validate_is_exactly_the_masks_of_the_used_heads(data):
+    pool = _observation_pool()
+    obs = pool[data.draw(st.integers(0, len(pool) - 1))]
+
+    def index(row, limit):
+        return _index(data, row, limit) if data.draw(st.booleans()) else None
+
+    a = _index(data, obs.action_mask, C.N_ACTIONS)
+    row = a if 0 <= a < C.N_ACTIONS else C.NOOP
+    n_sel = data.draw(st.integers(0, C.MAX_SELECTED + 1))
+    act = StructuredAction(
+        a, delay=data.draw(st.integers(0, C.DELAY_CHOICES + 1)),
+        queued=data.draw(st.integers(0, 1)),
+        selected_units=[_index(data, obs.select_mask[row], C.MAX_UNITS) for _ in range(n_sel)],
+        target_unit=index(obs.target_mask[row], 3 * C.MAX_UNITS),
+        target_position=index(obs.position_mask[row], C.GRID * C.GRID))
+
+    def allows(mask, i):
+        return i is not None and 0 <= i < len(mask) and bool(mask[i])
+
+    used = C.HEAD_USAGE.get(a, frozenset())
+    sel = act.selected_units
+    expected = (allows(obs.action_mask, a) and 1 <= act.delay <= C.DELAY_CHOICES
+                and (C.HEAD_SELECTED_UNITS not in used
+                     or (0 < len(sel) <= C.MAX_SELECTED and len(set(sel)) == len(sel)
+                         and all(allows(obs.select_mask[a], s) for s in sel)))
+                and (C.HEAD_TARGET_UNIT not in used
+                     or allows(obs.target_mask[a], act.target_unit))
+                and (C.HEAD_TARGET_POSITION not in used
+                     or allows(obs.position_mask[a], act.target_position)))
+    assert _JUDGE._validate(obs, act) == expected
 
 
 def test_extract_statistic_cases():

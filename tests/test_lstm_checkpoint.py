@@ -91,6 +91,31 @@ def test_checkpoint_roundtrip_and_hash_guard(tmp_path):
         load_checkpoint(ckpt, expected_arch_hash=0x1234)
 
 
+def test_truncated_or_corrupt_checkpoint_names_file_and_offset(tmp_path):
+    rng = np.random.default_rng(5)
+    params = {"w": rng.standard_normal((2, 3)), "b": rng.standard_normal(3),
+              "scale": np.float32(0.5)}
+    good = tmp_path / "model.ckpt"
+    save_checkpoint(good, params, arch_hash=11, version=3)
+    raw = good.read_bytes()
+    cut = tmp_path / "cut.ckpt"
+    for k in range(len(raw)):
+        cut.write_bytes(raw[:k])
+        with pytest.raises(CheckpointError, match=f"{cut}: .*byte [0-9]+"):
+            load_checkpoint(cut)
+        if k < 31:   # magic + three u64 header fields
+            with pytest.raises(CheckpointError, match=f"{cut}: .*byte [0-9]+"):
+                peek_version(cut)
+        else:
+            assert peek_version(cut) == 3
+    name_at = 31 + 4   # first parameter's name, after its u32 length
+    for offset, patch in [(0, b"X"), (name_at, b"\xff"), (name_at + 1, b"\xff\xff\xff\xff"),
+                          (len(raw), b"\0")]:
+        cut.write_bytes(raw[:offset] + patch + raw[offset + len(patch):])
+        with pytest.raises(CheckpointError, match=f"{cut}: .*byte [0-9]+"):
+            load_checkpoint(cut)
+
+
 def test_state_serialization_roundtrips_bit_exactly(tmp_path):
     rng = np.random.default_rng(4)
     block = ResidualLSTM(4, 3, rng)

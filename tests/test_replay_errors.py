@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from gridleague.env.replay import ReplayError, read_replay, verify_replay, write_replay
+from gridleague.env.replay import ReplayError, read_replay, write_replay
 from gridleague.env.script import play_scripted_match
 from gridleague.imitation import WindowLoader, generate_dataset
 from gridleague.imitation.dataset import load_index
@@ -19,7 +19,6 @@ def replay(tmp_path):
 
 def test_truncation_at_every_line_boundary(replay, tmp_path):
     lines = replay.read_text().splitlines(keepends=True)
-    _, events = read_replay(replay)
     cut = tmp_path / "cut.jsonl"
     for k in range(len(lines)):
         cut.write_text("".join(lines[:k]))
@@ -27,10 +26,15 @@ def test_truncation_at_every_line_boundary(replay, tmp_path):
             with pytest.raises(ReplayError, match="empty replay"):
                 read_replay(cut)
             continue
-        assert read_replay(cut)[1] == events[: k - 1]
-        # the recorded stream is a strict prefix, so re-simulation diverges
-        with pytest.raises(ReplayError, match=str(cut)):
-            verify_replay(cut)
+        with pytest.raises(ReplayError, match=f"{cut}: line {k}: truncated replay"):
+            read_replay(cut)
+    assert read_replay(replay)[1][-1]["kind"] == "end"
+
+
+def test_replay_of_unrecorded_game_refused(tmp_path):
+    game = play_scripted_match("RUSH", "ECON", 3, max_steps=30, record_events=False)
+    with pytest.raises(ReplayError, match="without recording events"):
+        write_replay(tmp_path / "game.jsonl", game)
 
 
 @pytest.mark.parametrize("line", [1, 5])
