@@ -179,16 +179,18 @@ class Game:
             rel[u.x, u.y] = max(rel[u.x, u.y], 0.5)
         for u in mine:
             rel[u.x, u.y] = 1.0
-        spatial[:, :, 3] = self._static_free()
+        free = self._static_free()
+        spatial[:, :, 3] = free
 
         ps = self.players[player]
+        supply_used, supply_cap = self.supply_used(player), self.supply_cap(player)
         counts = {t: 0 for t in range(C.N_CONSTRUCTIBLE)}
         for u in mine:
             counts[u.type] += 1
         scalar = np.array([
             min(ps.minerals / 200.0, 2.0),
-            self.supply_used(player) / C.MAX_UNITS,
-            self.supply_cap(player) / C.MAX_UNITS,
+            supply_used / C.MAX_UNITS,
+            supply_cap / C.MAX_UNITS,
             self.step_count / self.max_steps,
             counts[C.WORKER] / 16.0,
             counts[C.LIGHT] / 16.0,
@@ -204,19 +206,21 @@ class Game:
             player=player, step=self.step_count, scalar=scalar, spatial=spatial,
             unit_type=unit_type, unit_cont=unit_cont,
             unit_mask=unit_mask, slot_uid=slot_uid,
-            **self._legality(player, mine, enemy, neutral),
+            **self._legality(player, mine, enemy, neutral, free.reshape(-1),
+                             supply_cap - supply_used),
         )
         self._given[player] = obs
         return obs
 
-    def _legality(self, player: int, mine, enemy, neutral) -> dict:
+    def _legality(self, player: int, mine, enemy, neutral, free: np.ndarray,
+                  supply_room: int) -> dict:
+        """``free`` (flat free-cell grid) and ``supply_room`` come from ``observe``."""
         n = C.MAX_UNITS
         minerals = self.players[player].minerals
         action_mask = np.zeros(C.N_ACTIONS, dtype=bool)
         select_mask = np.zeros((C.N_ACTIONS, n), dtype=bool)
         target_mask = np.zeros((C.N_ACTIONS, 3 * n), dtype=bool)
         position_mask = np.zeros((C.N_ACTIONS, C.GRID * C.GRID), dtype=bool)
-        free = self._static_free().reshape(-1)
         slots = mine[:n]
         types = [u.type for u in slots]
         complete = np.array([u.complete for u in slots], dtype=bool)
@@ -224,7 +228,6 @@ class Game:
         has_sel = select_mask.any(axis=1)
         cap_room = len(mine) < C.MAX_UNITS
         owned_complete = {u.type for u in mine if u.complete}
-        supply_room = self.supply_cap(player) - self.supply_used(player)
 
         action_mask[C.NOOP] = True
         action_mask[[C.MOVE, C.STOP]] = has_sel[[C.MOVE, C.STOP]]

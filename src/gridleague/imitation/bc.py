@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import tensor as T
-from ..env import constants as C
 from ..net import ObsBatch, PolicyNet
 from ..tensor import Adam, NumericError, Tensor
 from .dataset import Window
@@ -18,14 +17,13 @@ class BCConfig:
     lr: float = 1e-3
     lr_decay_step: int = 1500        # 10x decay past this step
     lr_decay_factor: float = 0.1
-    finetune_lr_factor: float = 1e-2  # relative to base lr
     betas: tuple[float, float] = (0.9, 0.999)
     max_grad_norm: float = 10.0
     window: int = 16
     batch_windows: int = 16
 
 
-def window_forward(net: PolicyNet, windows: list[Window], need_dists: bool = False):
+def window_forward(net: PolicyNet, windows: list[Window]):
     """Teacher-forced unroll over a batch of windows (time-major rows)."""
     b = len(windows)
     t = len(windows[0].observations)
@@ -40,47 +38,47 @@ def window_forward(net: PolicyNet, windows: list[Window], need_dists: bool = Fal
                    np.zeros(net.cfg.lstm_width, dtype=net.dtype) for w in windows])
     c0 = np.stack([w.c0 if w.c0 is not None else
                    np.zeros(net.cfg.lstm_width, dtype=net.dtype) for w in windows])
-    out = net.unroll(batch, b, t, (h0, c0), forced, need_dists=need_dists)
+    out = net.unroll(batch, b, t, (h0, c0), forced)
     step_mask = np.concatenate([
         np.stack([w.step_mask[step] for w in windows]) for step in range(t)
     ]).astype(net.dtype)
-    return out, step_mask, batch
+    return out, step_mask
 
 
 def bc_loss(net: PolicyNet, windows: list[Window]):
     """Mean (over real timesteps) of the negated joint teacher logprob.
 
     The summed form equals -sum of joint logprobs over a whole trajectory,
-    which is the teacher-forcing consistency contract.
+    which is the teacher-forcing consistency contract. Each head's CE is the
+    mean over the real rows whose action uses that head.
     """
-    out, step_mask, _ = window_forward(net, windows)
+    out, step_mask = window_forward(net, windows)
     masked = T.mul(out.joint_logprob, Tensor(step_mask))
     total = T.neg(T.reduce_sum(masked))
     count = float(step_mask.sum())
     loss = T.mul(total, 1.0 / max(count, 1.0))
+    head_rows = {}
+    for name, _, _, used in out.choices:
+        head_rows[name] = head_rows.get(name, False) | used
     per_head = {}
     for name, lp in out.head_logprobs.items():
-        used = (np.abs(lp.data) > 0) & (step_mask > 0)
+        used = head_rows[name] & (step_mask > 0)
         n_used = max(int(used.sum()), 1)
         per_head[name] = float(-(lp.data * used).sum() / n_used)
     return loss, total, per_head, count
 
 
 class BCTrainer:
-    def __init__(self, net: PolicyNet, cfg: BCConfig | None = None,
-                 finetune: bool = False):
+    def __init__(self, net: PolicyNet, cfg: BCConfig | None = None):
         self.net = net
         self.cfg = cfg or BCConfig()
-        lr = self.cfg.lr * (self.cfg.finetune_lr_factor if finetune else 1.0)
-        self.finetune = finetune
-        self.opt = Adam(net.parameters(), lr=lr, betas=self.cfg.betas)
         self.step_count = 0
+        self.opt = Adam(net.parameters(), lr=self.current_lr(), betas=self.cfg.betas)
 
     def current_lr(self) -> float:
-        lr = self.cfg.lr * (self.cfg.finetune_lr_factor if self.finetune else 1.0)
-        if not self.finetune and self.step_count >= self.cfg.lr_decay_step:
-            lr *= self.cfg.lr_decay_factor
-        return lr
+        if self.step_count >= self.cfg.lr_decay_step:
+            return self.cfg.lr * self.cfg.lr_decay_factor
+        return self.cfg.lr
 
     def train_step(self, windows: list[Window]) -> dict:
         self.opt.lr = self.current_lr()
@@ -105,55 +103,16 @@ def teacher_agreement(net: PolicyNet, windows: list[Window]) -> dict:
     """Per-head top-1 agreement with the teacher on the given windows.
 
     The context is teacher-forced, so every compared decision is made from
-    the exact state the teacher saw; only heads the action table marks used
-    are scored, and the selected-units head scores every autoregressive slot
-    including the stop choice.
+    the exact state the teacher saw. A head is scored on the real rows whose
+    action uses it, the selected-units head on every autoregressive slot
+    including the stop choice. Returns {head: (agreement, decisions)}.
     """
-    out, step_mask, batch = window_forward(net, windows, need_dists=True)
+    with T.no_grad():
+        out, step_mask = window_forward(net, windows)
     real = step_mask > 0
-    ids = out.action_ids
-    agree: dict[str, list[float]] = {h: [] for h in
-                                     ("action", "delay", "queued", "selected_units",
-                                      "target_unit", "target_position")}
-    logp_a, _ = out.dists["action"]
-    agree["action"] = list((logp_a.data.argmax(axis=1) == ids)[real].astype(float))
-
-    # remaining heads: compare argmax to the forced choice where used
-    b = len(windows)
-    t = len(windows[0].observations)
-    forced = [windows[i].actions[step] for step in range(t) for i in range(b)]
-
-    logp_d, _ = out.dists["delay"]
-    pred_d = logp_d.data.argmax(axis=1)
-    for i, a in enumerate(forced):
-        if real[i] and C.HEAD_DELAY in C.HEAD_USAGE[a.action_id]:
-            agree["delay"].append(float(pred_d[i] == a.delay - 1))
-    logp_q, _ = out.dists["queued"]
-    pred_q = logp_q.data.argmax(axis=1)
-    for i, a in enumerate(forced):
-        if real[i] and C.HEAD_QUEUED in C.HEAD_USAGE[a.action_id]:
-            agree["queued"].append(float(pred_q[i] == a.queued))
-    for s, (logp_s, key_mask, active) in enumerate(out.dists["selected_units"]):
-        pred = logp_s.data.argmax(axis=1)
-        n0 = logp_s.shape[1] - 1
-        for i, a in enumerate(forced):
-            if not (real[i] and active[i]):
-                continue
-            want = a.selected_units[s] if s < len(a.selected_units) else n0
-            agree["selected_units"].append(float(pred[i] == want))
-    logp_t, _ = out.dists["target_unit"]
-    pred_t = logp_t.data.argmax(axis=1)
-    for i, a in enumerate(forced):
-        if real[i] and C.HEAD_TARGET_UNIT in C.HEAD_USAGE[a.action_id] \
-                and a.target_unit is not None:
-            # compare in local (cropped) slot space
-            want = batch.global_to_local_target(a.target_unit)
-            agree["target_unit"].append(float(pred_t[i] == want))
-    logp_p, _ = out.dists["target_position"]
-    pred_p = logp_p.data.argmax(axis=1)
-    for i, a in enumerate(forced):
-        if real[i] and C.HEAD_TARGET_POSITION in C.HEAD_USAGE[a.action_id] \
-                and a.target_position is not None:
-            agree["target_position"].append(float(pred_p[i] == a.target_position))
-    return {k: (float(np.mean(v)) if v else float("nan"), len(v))
-            for k, v in agree.items()}
+    hits = {name: [0, 0] for name in out.head_logprobs}
+    for name, logp, ids, used in out.choices:
+        rows = real & used
+        hits[name][0] += int((logp.data.argmax(axis=1) == ids)[rows].sum())
+        hits[name][1] += int(rows.sum())
+    return {k: (h / n if n else float("nan"), n) for k, (h, n) in hits.items()}

@@ -8,6 +8,12 @@ target_unit scores all groups' features, additionally conditioned on the
 pooled selected-units embedding; target_position is an MLP over the conv
 skip features. Conditioning is always concat + fully connected, never
 additive.
+
+Every head goes through one routine, ``PolicyNet._choose_head``: mask,
+log-softmax, choose (sample from caller-given uniforms, argmax, or take the
+teacher's index), score, and zero the score on rows whose action does not use
+the head. Each choice is recorded on ``StepOutput.choices``, which is what the
+BC per-head CE and teacher agreement read.
 """
 
 from __future__ import annotations
@@ -63,12 +69,14 @@ def _choose(logp: np.ndarray, mode: str, forced: np.ndarray | None,
 @dataclass
 class StepOutput:
     actions: list[StructuredAction]
-    action_ids: np.ndarray
     joint_logprob: Tensor                  # (N,)
     head_logprobs: dict[str, Tensor]
     values: Tensor                         # (N, value_channels)
     state: tuple[Tensor, Tensor]
-    dists: dict | None = None
+    # one record per choice in decode order, the selected-units head once per
+    # pointer slot: (head name, log-probs (N, V), chosen index (N,), used rows
+    # (N,) bool); in teacher mode the chosen index is the teacher's
+    choices: list[tuple[str, Tensor, np.ndarray, np.ndarray]]
 
 
 class PolicyNet:
@@ -121,13 +129,6 @@ class PolicyNet:
 
     def parameters(self) -> dict[str, Tensor]:
         return self.params
-
-    def value_parameters(self) -> dict[str, Tensor]:
-        """The value branch: everything below the LSTM output stays shared."""
-        return {k: v for k, v in self.params.items() if k.startswith("dec.value")}
-
-    def policy_parameters(self) -> dict[str, Tensor]:
-        return {k: v for k, v in self.params.items() if not k.startswith("dec.value")}
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
         missing = set(self.params) - set(arrays)
@@ -184,14 +185,34 @@ class PolicyNet:
 
     # ---------------------------------------------------------------- decoder
 
+    def _choose_head(self, choices: list, name: str, logits: Tensor,
+                     mask: np.ndarray | None, mode: str, forced: np.ndarray | None,
+                     u: np.ndarray, used: np.ndarray | None) -> tuple[np.ndarray, Tensor]:
+        """Mask, normalise, choose and score one head, and record the choice.
+
+        ``mask`` (N, V) bool pushes illegal logits to -1e9; ``used`` (N,) bool
+        zeroes the score of rows whose action does not use the head (None:
+        every row uses it).
+        """
+        if mask is not None:
+            logits = T.masked_fill(logits, (~mask).astype(np.float64), -1e9)
+        logp = T.log_softmax(logits, axis=1)
+        ids = _choose(logp.data, mode, forced, u)
+        lp = T.gather_last(logp, ids)
+        if used is None:
+            used = np.ones(len(ids), dtype=bool)
+        else:
+            lp = T.mul(lp, Tensor(used.astype(self.dtype)))
+        choices.append((name, logp, ids, used))
+        return ids, lp
+
     def decode(self, core_out: Tensor, group_feats: list[Tensor], skip: Tensor,
                batch: ObsBatch, mode: str,
                forced: list[StructuredAction] | None = None,
-               rng: np.random.Generator | None = None,
-               need_dists: bool = False,
                uniforms: np.ndarray | None = None) -> StepOutput:
-        """Run the six heads; ``uniforms`` (N, N_DECISION_DRAWS) makes sampled
-        choices independent of batch composition (each row has its own draws)."""
+        """Run the six heads; sample mode needs ``uniforms`` (N, N_DECISION_DRAWS),
+        which make sampled choices independent of batch composition (each row
+        has its own draws)."""
         if mode not in ("sample", "argmax", "teacher"):
             raise ValueError(f"unknown decode mode {mode!r}")
         if mode == "teacher" and forced is None:
@@ -199,54 +220,37 @@ class PolicyNet:
         cfg = self.cfg
         n = core_out.shape[0]
         if mode == "sample":
-            if uniforms is None:
-                if rng is None:
-                    raise ValueError("sample mode needs an rng or uniforms")
-                uniforms = rng.random((n, N_DECISION_DRAWS))
-            elif uniforms.shape != (n, N_DECISION_DRAWS):
-                raise ValueError(f"uniforms must be ({n}, {N_DECISION_DRAWS})")
+            if uniforms is None or uniforms.shape != (n, N_DECISION_DRAWS):
+                raise ValueError(f"sample mode needs uniforms of shape ({n}, {N_DECISION_DRAWS})")
         else:
             uniforms = np.zeros((n, N_DECISION_DRAWS))
         if not batch.action_mask.any(axis=1).all():
             raise ValueError("decode: an observation offers no legal action")
+        teacher = mode == "teacher"
+        choices: list = []
 
-        dists: dict = {}
+        def teacher_ids(index_of) -> np.ndarray | None:
+            """The teacher's index on every row, in teacher mode only."""
+            return np.array([index_of(i, a) for i, a in enumerate(forced)]) if teacher else None
+
+        def choose(name, logits, mask, forced_ids, draw, used):
+            return self._choose_head(choices, name, logits, mask, mode, forced_ids,
+                                     uniforms[:, draw], used)
 
         # selected action
-        logits_a = self.action_head(core_out)
-        logits_a = T.masked_fill(logits_a, (~batch.action_mask).astype(np.float64), -1e9)
-        logp_a = T.log_softmax(logits_a, axis=1)
-        forced_a = np.array([a.action_id for a in forced]) if forced else None
-        ids = _choose(logp_a.data, mode, forced_a, uniforms[:, 0])
-        lp_action = T.gather_last(logp_a, ids)
+        ids, lp_action = choose("action", self.action_head(core_out), batch.action_mask,
+                                teacher_ids(lambda i, a: a.action_id), 0, None)
         e_a = T.embedding_lookup(self.action_emb, ids)
         cond = T.concat([core_out, e_a], axis=1)
-        if need_dists:
-            dists["action"] = (logp_a, batch.action_mask)
-
         head_lp: dict[str, Tensor] = {"action": lp_action}
 
-        # delay (1..16; head index is delay-1)
-        logits_d = self.delay_head(cond)
-        logp_d = T.log_softmax(logits_d, axis=1)
-        forced_d = np.array([a.delay - 1 for a in forced]) if forced else None
-        delay_ids = _choose(logp_d.data, mode, forced_d, uniforms[:, 1])
-        used_d = _USAGE[C.HEAD_DELAY][ids].astype(self.dtype)
-        lp_delay = T.mul(T.gather_last(logp_d, delay_ids), Tensor(used_d))
-        head_lp["delay"] = lp_delay
-        if need_dists:
-            dists["delay"] = (logp_d, None)
-
-        # queued
-        logits_q = self.queued_head(cond)
-        logp_q = T.log_softmax(logits_q, axis=1)
-        forced_q = np.array([a.queued for a in forced]) if forced else None
-        queued_ids = _choose(logp_q.data, mode, forced_q, uniforms[:, 2])
-        used_q = _USAGE[C.HEAD_QUEUED][ids].astype(self.dtype)
-        lp_queued = T.mul(T.gather_last(logp_q, queued_ids), Tensor(used_q))
-        head_lp["queued"] = lp_queued
-        if need_dists:
-            dists["queued"] = (logp_q, None)
+        # delay (1..16; head index is delay-1) and queued
+        delay_ids, head_lp["delay"] = choose(
+            "delay", self.delay_head(cond), None,
+            teacher_ids(lambda i, a: a.delay - 1), 1, _USAGE[C.HEAD_DELAY][ids])
+        queued_ids, head_lp["queued"] = choose(
+            "queued", self.queued_head(cond), None,
+            teacher_ids(lambda i, a: a.queued), 2, _USAGE[C.HEAD_QUEUED][ids])
 
         # selected units: autoregressive pointer with stop token
         n0 = batch.group_n[0]
@@ -261,33 +265,26 @@ class PolicyNet:
         selections: list[list[int]] = [[] for _ in range(n)]
         sum_emb = Tensor(np.zeros((n, cfg.d_model), dtype=self.dtype))
         counts = np.zeros(n)
+
+        def mean_selected() -> Tensor:
+            scale = (1.0 / np.maximum(counts, 1.0))[:, None]
+            return T.mul(sum_emb, Tensor(np.broadcast_to(
+                scale, (n, cfg.d_model)).astype(self.dtype).copy()))
+
         lp_su = Tensor(np.zeros(n, dtype=self.dtype))
-        su_dists = []
         for s in range(cfg.max_select):
             if not active.any():
                 break
-            scale = (1.0 / np.maximum(counts, 1.0))[:, None]
-            prefix = T.mul(sum_emb, Tensor(np.broadcast_to(
-                scale, (n, cfg.d_model)).astype(self.dtype).copy()))
-            q = T.relu(self.su_query(T.concat([cond, prefix], axis=1)))
+            q = T.relu(self.su_query(T.concat([cond, mean_selected()], axis=1)))
             unit_mask = sel_allowed & ~chosen & active[:, None]
             stop_mask = ((s > 0) & active) | ~active
             key_mask = np.concatenate(
                 [unit_mask, stop_mask[:, None]], axis=1).astype(np.float64)
             scores = conditioned_concat_scores(q, keys, e_a, self.su_w, key_mask)
-            logp_s = T.log_softmax(scores, axis=1)
-            if forced is not None:
-                forced_s = np.array([
-                    forced[i].selected_units[s]
-                    if used_su[i] and s < len(forced[i].selected_units)
-                    else n0 for i in range(n)])
-            else:
-                forced_s = None
-            choice = _choose(logp_s.data, mode, forced_s, uniforms[:, 3 + s])
-            act_f = active.astype(self.dtype)
-            lp_su = T.add(lp_su, T.mul(T.gather_last(logp_s, choice), Tensor(act_f)))
-            if need_dists:
-                su_dists.append((logp_s, key_mask.copy(), active.copy()))
+            forced_s = teacher_ids(lambda i, a: a.selected_units[s]
+                                   if used_su[i] and s < len(a.selected_units) else n0)
+            choice, lp = choose("selected_units", scores, None, forced_s, 3 + s, active)
+            lp_su = T.add(lp_su, lp)
             picked_unit = active & (choice < n0)
             emb = T.gather_rows(my_feats, np.minimum(choice, n0 - 1))
             pick_f = picked_unit.astype(self.dtype)[:, None]
@@ -298,13 +295,8 @@ class PolicyNet:
                 chosen[i, choice[i]] = True
                 selections[i].append(int(choice[i]))
             active = active & (choice < n0)
-        scale = (1.0 / np.maximum(counts, 1.0))[:, None]
-        sel_summary = T.mul(sum_emb, Tensor(np.broadcast_to(
-            scale, (n, cfg.d_model)).astype(self.dtype).copy()))
         head_lp["selected_units"] = lp_su
-        if need_dists:
-            dists["selected_units"] = su_dists
-        cond_sel = T.concat([cond, sel_summary], axis=1)
+        cond_sel = T.concat([cond, mean_selected()], axis=1)
 
         # target unit over all groups' features
         keys_all = T.concat(group_feats, axis=1)
@@ -314,39 +306,20 @@ class PolicyNet:
         q_t = T.relu(self.tu_query(cond_sel))
         scores_t = conditioned_concat_scores(q_t, keys_all, e_a, self.tu_w,
                                              tmask.astype(np.float64))
-        logp_t = T.log_softmax(scores_t, axis=1)
-        if forced is not None:
-            forced_t = np.array([
-                batch.global_to_local_target(forced[i].target_unit)
-                if used_tu[i] and forced[i].target_unit is not None else 0
-                for i in range(n)])
-        else:
-            forced_t = None
-        tu_ids = _choose(logp_t.data, mode, forced_t, uniforms[:, 3 + cfg.max_select])
-        lp_tu = T.mul(T.gather_last(logp_t, tu_ids), Tensor(used_tu.astype(self.dtype)))
-        head_lp["target_unit"] = lp_tu
-        if need_dists:
-            dists["target_unit"] = (logp_t, tmask)
+        forced_t = teacher_ids(lambda i, a: batch.global_to_local_target(a.target_unit)
+                               if used_tu[i] and a.target_unit is not None else 0)
+        tu_ids, head_lp["target_unit"] = choose(
+            "target_unit", scores_t, None, forced_t, 3 + cfg.max_select, used_tu)
 
         # target position over the grid, conditioned on conv skip features
-        logits_p = self.pos_head(T.concat([cond_sel, skip], axis=1))
         used_p = _USAGE[C.HEAD_TARGET_POSITION][ids]
         pmask = batch.position_mask[np.arange(n), ids].copy()
         pmask[~used_p, 0] = True
-        logits_p = T.masked_fill(logits_p, (~pmask).astype(np.float64), -1e9)
-        logp_p = T.log_softmax(logits_p, axis=1)
-        if forced is not None:
-            forced_p = np.array([
-                forced[i].target_position
-                if used_p[i] and forced[i].target_position is not None else 0
-                for i in range(n)])
-        else:
-            forced_p = None
-        pos_ids = _choose(logp_p.data, mode, forced_p, uniforms[:, 4 + cfg.max_select])
-        lp_pos = T.mul(T.gather_last(logp_p, pos_ids), Tensor(used_p.astype(self.dtype)))
-        head_lp["target_position"] = lp_pos
-        if need_dists:
-            dists["target_position"] = (logp_p, pmask)
+        forced_p = teacher_ids(lambda i, a: a.target_position
+                               if used_p[i] and a.target_position is not None else 0)
+        pos_ids, head_lp["target_position"] = choose(
+            "target_position", self.pos_head(T.concat([cond_sel, skip], axis=1)), pmask,
+            forced_p, 4 + cfg.max_select, used_p)
 
         joint = lp_action
         for name in ("delay", "queued", "selected_units", "target_unit", "target_position"):
@@ -368,9 +341,8 @@ class PolicyNet:
                 target_position=int(pos_ids[i])
                 if C.HEAD_TARGET_POSITION in used else None,
             ))
-        return StepOutput(actions=actions, action_ids=ids, joint_logprob=joint,
-                          head_logprobs=head_lp, values=values, state=(None, None),
-                          dists=dists if need_dists else None)
+        return StepOutput(actions=actions, joint_logprob=joint, head_logprobs=head_lp,
+                          values=values, state=(None, None), choices=choices)
 
     # ------------------------------------------------------------------ steps
 
@@ -382,14 +354,11 @@ class PolicyNet:
 
     def step(self, batch: ObsBatch, state, mode: str = "sample",
              forced: list[StructuredAction] | None = None,
-             rng: np.random.Generator | None = None,
-             need_dists: bool = False,
              uniforms: np.ndarray | None = None) -> StepOutput:
         """One decision for a batch of independent streams."""
         enc, group_feats, skip = self.encode(batch)
         core_out, new_state = self.core.step(enc, self._state_tensors(state))
-        out = self.decode(core_out, group_feats, skip, batch, mode, forced,
-                          rng, need_dists, uniforms=uniforms)
+        out = self.decode(core_out, group_feats, skip, batch, mode, forced, uniforms)
         out.state = new_state
         return out
 
@@ -411,15 +380,13 @@ class PolicyNet:
         return core_outs, states
 
     def unroll(self, batch: ObsBatch, b: int, t: int, state0,
-               forced: list[StructuredAction],
-               need_dists: bool = False) -> StepOutput:
+               forced: list[StructuredAction]) -> StepOutput:
         """Teacher-forced window: batch rows are time-major (t*b + i)."""
         if batch.size != b * t or len(forced) != b * t:
             raise ValueError(f"unroll: batch of {batch.size} rows != {b}x{t}")
         enc, group_feats, skip = self.encode(batch)
         core_outs, states = self.recur(enc, b, t, state0)
         core_all = T.concat(core_outs, axis=0)
-        out = self.decode(core_all, group_feats, skip, batch, "teacher",
-                          forced, None, need_dists)
+        out = self.decode(core_all, group_feats, skip, batch, "teacher", forced)
         out.state = states[-1]
         return out

@@ -5,7 +5,7 @@ import numpy as np
 from gridleague.env import StructuredAction, constants as C
 from gridleague.net import NetConfig
 
-# small enough that central differences over every parameter stay fast
+# a few parameters per tensor: fast in float64, as in the golden network test
 TINY_NET = NetConfig(d_model=6, attn_heads=2, head_size=3, transformer_layers=1,
                      ff_width=8, pool_queries=2, lstm_width=8, type_emb=3,
                      owner_emb=3, action_emb=6, pos_hidden=2,

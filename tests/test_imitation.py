@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gridleague import tensor as T
-from gridleague.env import Game, ScriptedPolicy
+from gridleague.env import constants as C
 from gridleague.imitation import (
     ABLATION_SIZES,
     BCConfig,
@@ -16,6 +16,7 @@ from gridleague.imitation import (
     cut_windows,
     generate_dataset,
     load_trajectory,
+    window_forward,
 )
 from gridleague.match import NetAgent, ScriptedAgent, evaluate_match, wilson_interval
 from gridleague.net import NetConfig, ObsBatch, PolicyNet
@@ -87,6 +88,25 @@ def test_zero_weight_network_uniform_head_loss_is_log_v(tmp_path):
     _, _, per_head, _ = bc_loss(net, windows)
     assert per_head["delay"] == pytest.approx(np.log(16), abs=1e-5)
     assert per_head["queued"] == pytest.approx(np.log(2), abs=1e-5)
+
+
+def test_per_head_ce_is_the_mean_over_rows_that_use_the_head(tmp_path):
+    d = _tiny_dataset(tmp_path, n=1)
+    idx = json.loads((d / "index.json").read_text())
+    traj = load_trajectory(d, idx["games"][0], side=0)
+    windows = cut_windows(traj, 16)[:2]
+    net = PolicyNet(NetConfig(), np.random.default_rng(6))
+    _, _, per_head, _ = bc_loss(net, windows)
+    out, step_mask = window_forward(net, windows)
+    forced = [w.actions[step] for step in range(16) for w in windows]
+    zero_rows = 0
+    for name, lp in out.head_logprobs.items():
+        used = (step_mask > 0) & np.array(
+            [name == "action" or name in C.HEAD_USAGE[a.action_id] for a in forced])
+        assert per_head[name] == pytest.approx(float(-lp.data[used].mean()), rel=1e-5), name
+        zero_rows += int((lp.data[used] == 0).sum())
+    # rows with a single legal choice score exactly 0 and still count
+    assert zero_rows > 0
 
 
 def test_bc_loss_decreases_on_identical_pairs(tmp_path):

@@ -1,5 +1,7 @@
 """Forward values and finite-difference checks for every autodiff primitive."""
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -139,7 +141,8 @@ UNARY_CASES = [
 
 @pytest.mark.parametrize("name,fn,scale", UNARY_CASES, ids=[c[0] for c in UNARY_CASES])
 def test_unary_primitives_match_finite_differences(name, fn, scale):
-    rng = np.random.default_rng(hash(name) % 2**32)
+    # a fixed per-case seed: hash(str) is salted per process
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
     worst = 0.0
     for trial in range(10):
         shape = (int(rng.integers(2, 5)), int(rng.integers(3, 6)))
