@@ -9,9 +9,33 @@ fully determines a trajectory, bit for bit.
 grow, ``_spawn`` appends, and ``del`` keeps the order of the rest. Code that
 spawns while it iterates walks a ``list(...)`` snapshot, so new units wait
 for the next step.
+
+Lookups over units use lists and maps built once per sub-step instead of a
+scan of every unit per query:
+
+- move: the complete bases of each player and the patches with minerals left
+  (``_candidates``), where harvesters find where to deposit and which patch
+  to mine next;
+- attack: per player, a map from cell to the lowest-uid unit there and the
+  set of occupied cells (``_cell_maps``, built at the first idle military
+  unit), where idle military units find a target in range: the set rules
+  out most of them at once, the map's Chebyshev rings 0..range find the rest;
+- harvest: the complete bases of each player again.
+
+Nothing invalidates them within their sub-step. Bases and patches never
+move; units move only in move; a patch's minerals fall only in harvest,
+which looks up bases, not patches; units die only at the end of attack,
+after every target is chosen; bases complete and units spawn only in
+produce.
+
+A cell set is an int with bit ``x * GRID + y`` set for each cell (x, y) in
+it. A player's vision is the union of its units' ``_square``s, and whether
+an enemy is seen is one bit of it.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -30,9 +54,41 @@ _RING = sorted(
     key=lambda d: (max(abs(d[0]), abs(d[1])), d[1], d[0]),
 )
 
+# the offsets at Chebyshev distance r, r = 0..longest attack range
+_RINGS = [[(dx, dy) for dx in range(-r, r + 1) for dy in range(-r, r + 1)
+           if max(abs(dx), abs(dy)) == r] for r in range(max(C.UNIT_RANGE.values()) + 1)]
+
+
+@functools.lru_cache(maxsize=None)     # at most GRID * GRID entries per radius in use
+def _square(r: int, x: int, y: int) -> int:
+    """The cells within Chebyshev distance r of (x, y), as a cell set."""
+    x0, x1 = max(0, x - r), min(C.GRID, x + r + 1)
+    y0, y1 = max(0, y - r), min(C.GRID, y + r + 1)
+    row = ((1 << (y1 - y0)) - 1) << y0
+    return sum(row << (c * C.GRID) for c in range(x0, x1))
+
+
+def _grid(cells: int) -> np.ndarray:
+    """A cell set as a (GRID, GRID) bool array."""
+    raw = np.frombuffer(cells.to_bytes(C.GRID * C.GRID // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, bitorder="little").view(bool).reshape(C.GRID, C.GRID)
+
+
+_STATIC = frozenset(C.BUILDING_TYPES + (C.MINERAL,))    # never move, block building sites
+
 # _SELECTABLE[action, type]: the pointer head may pick a complete unit of that type
 _SELECTABLE = np.array([[t in C.SELECTABLE.get(a, ()) for t in range(len(C.TYPE_NAMES))]
                         for a in range(C.N_ACTIONS)], dtype=bool)
+
+
+def _features(u: Unit) -> tuple:
+    """One unit's UNIT_FEATS continuous features."""
+    hp_frac = u.remaining / C.MINERAL_PATCH_AMOUNT if u.type == C.MINERAL \
+        else u.hp / C.UNIT_HP.get(u.type, 1)
+    idle = 1.0 if (not u.orders and not u.train_queue) else 0.0
+    return (u.x / C.GRID, u.y / C.GRID, hp_frac, u.build_progress,
+            u.carrying / C.CARRY_AMOUNT, min(u.attack_cd, 5) / 5.0, idle,
+            len(u.train_queue) / 3.0)
 
 
 class Game:
@@ -104,34 +160,25 @@ class Game:
     def entity_count(self, player: int) -> int:
         return sum(1 for u in self.units.values() if u.player == player)
 
-    def supply_used(self, player: int) -> int:
-        return sum(C.SUPPLY_COST[u.type] for u in self.units.values()
-                   if u.player == player and u.type in C.MOBILE_TYPES)
-
-    def supply_cap(self, player: int) -> int:
-        bases = sum(1 for u in self.units.values()
-                    if u.player == player and u.type == C.BASE and u.complete)
-        return min(bases * C.SUPPLY_PER_BASE, C.MAX_UNITS)
-
     def _static_free(self) -> np.ndarray:
         free = np.ones((C.GRID, C.GRID), dtype=bool)
         for u in self.units.values():
-            if u.is_building or u.type == C.MINERAL:
+            if u.type in _STATIC:
                 free[u.x, u.y] = False
         return free
 
-    def visibility(self, player: int) -> np.ndarray:
-        vis = np.zeros((C.GRID, C.GRID), dtype=bool)
+    def _seen(self, player: int) -> int:
+        """The cells in ``player``'s vision, as a cell set."""
+        seen = 0
         for u in self.units.values():
-            if u.player != player:
-                continue
-            r = C.VISION[u.type]
-            x0, x1 = max(0, u.x - r), min(C.GRID, u.x + r + 1)
-            y0, y1 = max(0, u.y - r), min(C.GRID, u.y + r + 1)
-            vis[x0:x1, y0:y1] = True
-        return vis
+            if u.player == player:
+                seen |= _square(C.VISION[u.type], u.x, u.y)
+        return seen
 
-    def _groups(self, player: int, vis: np.ndarray):
+    def visibility(self, player: int) -> np.ndarray:
+        return _grid(self._seen(player))
+
+    def _groups(self, player: int, seen: int):
         mine, enemy, neutral = [], [], []
         for u in self.units.values():
             if u.player == player:
@@ -139,15 +186,15 @@ class Game:
             elif u.player == -1:
                 if u.remaining > 0:
                     neutral.append(u)
-            elif vis[u.x, u.y]:
+            elif seen >> (u.x * C.GRID + u.y) & 1:
                 enemy.append(u)
         return mine, enemy, neutral
 
     # ------------------------------------------------------------ observation
 
     def observe(self, player: int) -> Observation:
-        vis = self.visibility(player)
-        mine, enemy, neutral = self._groups(player, vis)
+        seen = self._seen(player)
+        mine, enemy, neutral = self._groups(player, seen)
         groups = (mine, enemy, neutral)
 
         n = C.MAX_UNITS
@@ -156,37 +203,32 @@ class Game:
         unit_mask = np.zeros((3, n), dtype=np.float32)
         slot_uid = np.full((3, n), -1, dtype=np.int32)
         for g, members in enumerate(groups):
-            for i, u in enumerate(members[:n]):
-                unit_type[g, i] = u.type
-                maxhp = C.UNIT_HP.get(u.type, 1)
-                hp_frac = u.remaining / C.MINERAL_PATCH_AMOUNT if u.type == C.MINERAL \
-                    else u.hp / maxhp
-                idle = 1.0 if (not u.orders and not u.train_queue) else 0.0
-                unit_cont[g, i] = (u.x / C.GRID, u.y / C.GRID, hp_frac,
-                                   u.build_progress, u.carrying / C.CARRY_AMOUNT,
-                                   min(u.attack_cd, 5) / 5.0, idle,
-                                   len(u.train_queue) / 3.0)
-                unit_mask[g, i] = 1.0
-                slot_uid[g, i] = u.uid
+            shown = members[:n]
+            if shown:
+                k = len(shown)
+                unit_type[g, :k] = [u.type for u in shown]
+                unit_cont[g, :k] = [_features(u) for u in shown]
+                unit_mask[g, :k] = 1.0
+                slot_uid[g, :k] = [u.uid for u in shown]
 
         spatial = np.zeros((C.GRID, C.GRID, C.SPATIAL_CHANNELS), dtype=np.float32)
         spatial[:, :, 0] = self._height
-        spatial[:, :, 1] = vis
+        spatial[:, :, 1] = _grid(seen)
+        # neutral < enemy < mine: writing in that order keeps the largest
         rel = spatial[:, :, 2]
-        for u in neutral:
-            rel[u.x, u.y] = max(rel[u.x, u.y], 0.25)
-        for u in enemy:
-            rel[u.x, u.y] = max(rel[u.x, u.y], 0.5)
-        for u in mine:
-            rel[u.x, u.y] = 1.0
+        for members, value in ((neutral, 0.25), (enemy, 0.5), (mine, 1.0)):
+            for u in members:
+                rel[u.x, u.y] = value
         free = self._static_free()
         spatial[:, :, 3] = free
 
         ps = self.players[player]
-        supply_used, supply_cap = self.supply_used(player), self.supply_cap(player)
-        counts = {t: 0 for t in range(C.N_CONSTRUCTIBLE)}
+        counts = [0] * C.N_CONSTRUCTIBLE
         for u in mine:
             counts[u.type] += 1
+        supply_used = sum(cost * counts[t] for t, cost in C.SUPPLY_COST.items())
+        bases = sum(1 for u in mine if u.type == C.BASE and u.complete)
+        supply_cap = min(bases * C.SUPPLY_PER_BASE, C.MAX_UNITS)
         scalar = np.array([
             min(ps.minerals / 200.0, 2.0),
             supply_used / C.MAX_UNITS,
@@ -217,33 +259,34 @@ class Game:
         """``free`` (flat free-cell grid) and ``supply_room`` come from ``observe``."""
         n = C.MAX_UNITS
         minerals = self.players[player].minerals
-        action_mask = np.zeros(C.N_ACTIONS, dtype=bool)
         select_mask = np.zeros((C.N_ACTIONS, n), dtype=bool)
         target_mask = np.zeros((C.N_ACTIONS, 3 * n), dtype=bool)
         position_mask = np.zeros((C.N_ACTIONS, C.GRID * C.GRID), dtype=bool)
         slots = mine[:n]
-        types = [u.type for u in slots]
-        complete = np.array([u.complete for u in slots], dtype=bool)
-        select_mask[:, :len(slots)] = _SELECTABLE[:, types] & complete
-        has_sel = select_mask.any(axis=1)
+        complete = [u.complete for u in slots]
+        select_mask[:, :len(slots)] = _SELECTABLE[:, [u.type for u in slots]] & complete
+        has_sel = select_mask.any(axis=1).tolist()
         cap_room = len(mine) < C.MAX_UNITS
         owned_complete = {u.type for u in mine if u.complete}
+        any_free = bool(free.any())
 
-        action_mask[C.NOOP] = True
-        action_mask[[C.MOVE, C.STOP]] = has_sel[[C.MOVE, C.STOP]]
-        position_mask[C.MOVE] = True
-        target_mask[C.ATTACK, n:n + len(enemy[:n])] = True
-        action_mask[C.ATTACK] = has_sel[C.ATTACK] and bool(enemy)
-        target_mask[C.HARVEST, 2 * n:2 * n + len(neutral[:n])] = True
-        action_mask[C.HARVEST] = has_sel[C.HARVEST] and bool(neutral)
+        # an action needs a unit that may carry it out, and then its own conditions
+        legal = has_sel[:]
+        legal[C.NOOP] = True
+        legal[C.ATTACK] = legal[C.ATTACK] and bool(enemy)
+        legal[C.HARVEST] = legal[C.HARVEST] and bool(neutral)
         for a, btype in C.BUILD_ACTION_TYPE.items():
             req = C.TECH_REQUIREMENT[btype]
-            position_mask[a] = free
-            action_mask[a] = (has_sel[a] and cap_room and minerals >= C.MINERAL_COST[btype]
-                              and (req is None or req in owned_complete) and bool(free.any()))
+            legal[a] = (legal[a] and cap_room and minerals >= C.MINERAL_COST[btype]
+                        and (req is None or req in owned_complete) and any_free)
         for a, ttype in C.TRAIN_ACTION_TYPE.items():
-            action_mask[a] = (has_sel[a] and cap_room and C.SUPPLY_COST[ttype] <= supply_room
-                              and minerals >= C.MINERAL_COST[ttype])
+            legal[a] = (legal[a] and cap_room and C.SUPPLY_COST[ttype] <= supply_room
+                        and minerals >= C.MINERAL_COST[ttype])
+        action_mask = np.array(legal)
+        position_mask[C.MOVE] = True
+        target_mask[C.ATTACK, n:n + len(enemy[:n])] = True
+        target_mask[C.HARVEST, 2 * n:2 * n + len(neutral[:n])] = True
+        position_mask[list(C.BUILD_ACTION_TYPE)] = free
         illegal = ~action_mask
         select_mask[illegal] = False
         target_mask[illegal] = False
@@ -375,7 +418,18 @@ class Game:
             if u.move_cd > 0:
                 u.move_cd -= 1
 
-    def _order_destination(self, u: Unit, order: Order):
+    def _candidates(self):
+        """The complete bases of each player and the patches with minerals left."""
+        bases, patches = ([], []), []
+        for v in self.units.values():
+            if v.type == C.BASE:
+                if v.complete:
+                    bases[v.player].append(v)
+            elif v.type == C.MINERAL and v.remaining > 0:
+                patches.append(v)
+        return bases, patches
+
+    def _order_destination(self, u: Unit, order: Order, bases, patches):
         if order.kind == "move":
             return order.x, order.y, 0
         if order.kind == "attack":
@@ -385,12 +439,11 @@ class Game:
             return t.x, t.y, C.UNIT_RANGE[u.type]
         if order.kind == "harvest":
             if u.carrying > 0:
-                base = self._nearest(u, lambda v: v.player == u.player
-                                     and v.type == C.BASE and v.complete)
+                base = self._nearest(u, bases[u.player])
                 return None if base is None else (base.x, base.y, 1)
             t = self.units.get(order.target_uid)
             if t is None or t.remaining <= 0:
-                t = self._nearest(u, lambda v: v.player == -1 and v.remaining > 0)
+                t = self._nearest(u, patches)
                 if t is None:
                     return None
                 order.target_uid = t.uid
@@ -399,19 +452,44 @@ class Game:
             return order.x, order.y, 1
         return None
 
-    def _nearest(self, u: Unit, pred) -> Unit | None:
-        """The closest unit matching ``pred``; ties go to the lowest uid."""
+    def _nearest(self, u: Unit, candidates: list[Unit]) -> Unit | None:
+        """The closest of ``candidates`` (in uid order); ties go to the lowest uid."""
         best, best_d = None, None
-        for v in self.units.values():
-            if pred(v):
-                d = cheby(u.x, u.y, v.x, v.y)
-                if best is None or d < best_d:
-                    best, best_d = v, d
+        for v in candidates:
+            d = cheby(u.x, u.y, v.x, v.y)
+            if best is None or d < best_d:
+                best, best_d = v, d
         return best
 
+    def _cell_maps(self) -> list[tuple[dict, int]]:
+        """Per player, each occupied cell's lowest-uid unit, and the occupied cell set."""
+        cells, occupied = ({}, {}), [0, 0]
+        for v in self.units.values():
+            if v.player >= 0:
+                cells[v.player].setdefault((v.x, v.y), v)
+                occupied[v.player] |= 1 << (v.x * C.GRID + v.y)
+        return [(cells[p], occupied[p]) for p in (0, 1)]
+
+    @staticmethod
+    def _in_range(u: Unit, cells: dict, occupied: int) -> Unit | None:
+        """The closest unit of ``cells`` within ``u``'s range; ties go to the lowest uid."""
+        reach = C.UNIT_RANGE[u.type]
+        if not occupied & _square(reach, u.x, u.y):
+            return None                 # nothing in range: most calls end here
+        for ring in _RINGS[:reach + 1]:
+            best = None
+            for dx, dy in ring:
+                v = cells.get((u.x + dx, u.y + dy))
+                if v is not None and (best is None or v.uid < best.uid):
+                    best = v
+            if best is not None:
+                return best
+        return None
+
     def _substep_move(self) -> None:
+        bases, patches = self._candidates()
         for u in self.units.values():
-            if u.is_building or u.type == C.MINERAL:
+            if u.type in _STATIC:
                 continue
             order = u.current_order()
             if order is None:
@@ -419,7 +497,7 @@ class Game:
             if order.kind == "attack" and order.target_uid not in self.units:
                 u.orders.pop(0)
                 continue
-            dest = self._order_destination(u, order)
+            dest = self._order_destination(u, order, bases, patches)
             if dest is None:
                 u.orders.pop(0)
                 continue
@@ -437,7 +515,7 @@ class Game:
 
     def _substep_attack(self) -> None:
         damage: dict[int, int] = {}
-        hitters: list[tuple[Unit, Unit]] = []
+        maps = None
         for u in self.units.values():
             if u.type not in C.MOBILE_TYPES or not u.complete or u.attack_cd > 0:
                 continue
@@ -449,16 +527,14 @@ class Game:
                     target = t
             elif order is None and u.type in C.MILITARY_TYPES:
                 # idle military units fight back on their own
-                target = self._nearest(
-                    u, lambda v, me=u: v.player == 1 - me.player
-                    and cheby(me.x, me.y, v.x, v.y) <= C.UNIT_RANGE[me.type])
+                maps = maps or self._cell_maps()
+                target = self._in_range(u, *maps[1 - u.player])
             if target is None:
                 continue
             dmg = C.UNIT_DMG[u.type]
             if C.COUNTERS.get(u.type) == target.type:
                 dmg *= 2
             damage[target.uid] = damage.get(target.uid, 0) + dmg
-            hitters.append((u, target))
             u.attack_cd = C.ATTACK_COOLDOWN[u.type]
         for tid, dmg in sorted(damage.items()):
             t = self.units.get(tid)
@@ -472,6 +548,7 @@ class Game:
                 del self.units[tid]
 
     def _substep_harvest(self) -> None:
+        bases = self._candidates()[0]
         for u in self.units.values():
             if u.type != C.WORKER:
                 continue
@@ -485,8 +562,7 @@ class Game:
                     t.remaining -= take
                     u.carrying = take
             else:
-                base = self._nearest(u, lambda v: v.player == u.player
-                                     and v.type == C.BASE and v.complete)
+                base = self._nearest(u, bases[u.player])
                 if base is not None and cheby(u.x, u.y, base.x, base.y) <= 1:
                     ps = self.players[u.player]
                     ps.minerals += u.carrying
@@ -497,12 +573,13 @@ class Game:
     def _substep_produce(self) -> None:
         free = None
         for u in list(self.units.values()):
-            if u.is_building and not u.complete:
+            building = u.type in C.BUILDING_TYPES
+            if building and not u.complete:
                 u.build_progress = min(1.0, u.build_progress + 1.0 / C.BUILD_TIME[u.type])
                 if u.complete:
                     self._event(u.player, "construct", {"type": u.type, "uid": u.uid})
                 continue
-            if u.is_building and u.train_queue:
+            if building and u.train_queue:
                 u.train_progress += 1
                 ttype = u.train_queue[0]
                 if u.train_progress >= C.TRAIN_TIME[ttype]:
@@ -547,19 +624,10 @@ class Game:
                 free = None
 
     def _check_end(self) -> None:
-        has_base = [any(u.player == p and u.type == C.BASE for u in self.units.values())
-                    for p in (0, 1)]
-        winner: int | None = None
-        over = False
-        if not has_base[0] and not has_base[1]:
-            over, winner = True, None
-        elif not has_base[1]:
-            over, winner = True, 0
-        elif not has_base[0]:
-            over, winner = True, 1
-        elif self.step_count >= self.max_steps:
-            over, winner = True, None
-        if over:
+        based = {u.player for u in self.units.values() if u.type == C.BASE}
+        if based != {0, 1} or self.step_count >= self.max_steps:
+            # the one player left with a base wins; otherwise a draw
+            winner = based.pop() if len(based) == 1 else None
             self.done = True
             stats = {
                 p: {"minerals": self.players[p].minerals,

@@ -53,34 +53,38 @@ _PROFILES = {
 
 
 class _View:
-    """Convenience indexing of one observation's my/enemy/neutral groups."""
+    """Convenience indexing of one observation's my/enemy/neutral groups.
+
+    Types and features are read into Python lists once, up to each group's
+    last valid slot: the scripts look up single slots many times per
+    decision, and a numpy scalar read each time costs more than the
+    conversion.
+    """
 
     def __init__(self, obs: Observation):
-        self.obs = obs
-        m = obs.unit_mask
-        self.my_slots = np.flatnonzero(m[0] > 0)
-        self.enemy_slots = np.flatnonzero(m[1] > 0)
-        self.neutral_slots = np.flatnonzero(m[2] > 0)
+        self.types, self.cont, slots = [], [], []
+        for g in range(3):
+            valid = np.flatnonzero(obs.unit_mask[g]).tolist()
+            end = valid[-1] + 1 if valid else 0
+            slots.append(valid)
+            self.types.append(obs.unit_type[g, :end].tolist())
+            self.cont.append(obs.unit_cont[g, :end].tolist())
+        self.my_slots, self.enemy_slots, self.neutral_slots = slots
 
     def my_of_type(self, *types, complete=True):
-        out = []
-        for s in self.my_slots:
-            if self.obs.unit_type[0, s] in types:
-                if complete and self.obs.unit_cont[0, s, 3] < 1.0:
-                    continue
-                out.append(int(s))
-        return out
+        mine, cont = self.types[0], self.cont[0]
+        return [s for s in self.my_slots
+                if mine[s] in types and not (complete and cont[s][3] < 1.0)]
 
     def pos(self, group: int, slot: int) -> tuple[int, int]:
-        x = int(round(self.obs.unit_cont[group, slot, 0] * C.GRID))
-        y = int(round(self.obs.unit_cont[group, slot, 1] * C.GRID))
-        return x, y
+        f = self.cont[group][slot]
+        return int(round(f[0] * C.GRID)), int(round(f[1] * C.GRID))
 
     def idle(self, group: int, slot: int) -> bool:
-        return self.obs.unit_cont[group, slot, 6] > 0.5
+        return self.cont[group][slot][6] > 0.5
 
     def queue_len(self, slot: int) -> float:
-        return self.obs.unit_cont[0, slot, 7] * 3.0
+        return self.cont[0][slot][7] * 3.0
 
 
 class ScriptedPolicy:
@@ -115,13 +119,7 @@ class ScriptedPolicy:
         return self.p.war_delay if war else self.p.peace_delay
 
     def _nearest_slot(self, view: _View, group: int, slots, ref: tuple[int, int]):
-        best, best_key = None, None
-        for s in slots:
-            x, y = view.pos(group, s)
-            key = (cheby(x, y, ref[0], ref[1]), int(s))
-            if best_key is None or key < best_key:
-                best, best_key = int(s), key
-        return best
+        return min(slots, key=lambda s: (cheby(*view.pos(group, s), *ref), s))
 
     def _free_cell_near(self, obs: Observation, action: int,
                         ref: tuple[int, int], min_d=1, max_d=5) -> int | None:
@@ -165,13 +163,11 @@ class ScriptedPolicy:
 
         # defense: enemies close to any of my buildings
         threats = []
+        buildings = [view.pos(0, b) for b in view.my_of_type(*C.BUILDING_TYPES, complete=False)]
         for s in view.enemy_slots:
             ex, ey = view.pos(1, s)
-            for b in view.my_of_type(*C.BUILDING_TYPES, complete=False):
-                bx, by = view.pos(0, b)
-                if cheby(ex, ey, bx, by) <= p.defend_radius:
-                    threats.append(int(s))
-                    break
+            if any(cheby(ex, ey, bx, by) <= p.defend_radius for bx, by in buildings):
+                threats.append(s)
         if threats and military and mask[C.ATTACK]:
             target = self._nearest_slot(view, 1, threats, home)
             sel = [s for s in military if obs.select_mask[C.ATTACK, s]][: C.MAX_SELECTED]
@@ -181,9 +177,9 @@ class ScriptedPolicy:
                                         target_unit=C.MAX_UNITS + target)
 
         # economy: put idle workers on the nearest patch
-        idle_workers = [s for s in workers if view.idle(0, s)
-                        and obs.select_mask.any(axis=0)[s]]
-        if idle_workers and mask[C.HARVEST] and len(view.neutral_slots):
+        selectable = obs.select_mask.any(axis=0)
+        idle_workers = [s for s in workers if view.idle(0, s) and selectable[s]]
+        if idle_workers and mask[C.HARVEST] and view.neutral_slots:
             patch = self._nearest_slot(view, 2, view.neutral_slots, home)
             sel = [s for s in idle_workers if obs.select_mask[C.HARVEST, s]][: C.MAX_SELECTED]
             if sel and obs.target_mask[C.HARVEST, 2 * C.MAX_UNITS + patch]:
@@ -200,7 +196,7 @@ class ScriptedPolicy:
                                         queued=1, selected_units=producers[:1])
 
         # build sequence (greedy-econ archetypes tech only once saturated)
-        owned = [int(obs.unit_type[0, s]) for s in view.my_slots]
+        owned = [view.types[0][s] for s in view.my_slots]
         if len(workers) < p.tech_worker_gate:
             owned = owned + list(p.build_sequence)
         for btype in p.build_sequence:
@@ -236,17 +232,17 @@ class ScriptedPolicy:
                          if obs.select_mask[best_action, s] and view.queue_len(s) < 2]
             if producers:
                 return StructuredAction(best_action, delay=self._delay(False),
-                                        queued=1, selected_units=[int(producers[0])])
+                                        queued=1, selected_units=[producers[0]])
 
         # push when the army is ready or the deadline passed
         army_size = sum(army_counts.values())
         if military and (army_size >= p.push_size or step >= p.push_step):
             xs = [view.pos(0, s) for s in military]
             centroid = (sum(x for x, _ in xs) // len(xs), sum(y for _, y in xs) // len(xs))
-            if len(view.enemy_slots) and mask[C.ATTACK]:
+            if view.enemy_slots and mask[C.ATTACK]:
                 pool = view.enemy_slots
                 if p.prefer_worker_targets:
-                    workers_only = [s for s in pool if obs.unit_type[1, s] == C.WORKER]
+                    workers_only = [s for s in pool if view.types[1][s] == C.WORKER]
                     pool = workers_only or pool
                 target = self._nearest_slot(view, 1, pool, centroid)
                 sel = [s for s in military if obs.select_mask[C.ATTACK, s]][: C.MAX_SELECTED]
@@ -269,9 +265,8 @@ class ScriptedPolicy:
         choices = []
         if mask[C.NOOP]:
             choices.append(StructuredAction.noop(delay=int(self.rng.integers(1, 6))))
-        workers = [s for s in view.my_of_type(C.WORKER) if obs.select_mask[C.HARVEST].any()
-                   and obs.select_mask[C.HARVEST, s]]
-        if workers and mask[C.HARVEST] and len(view.neutral_slots):
+        workers = [s for s in view.my_of_type(C.WORKER) if obs.select_mask[C.HARVEST, s]]
+        if workers and mask[C.HARVEST] and view.neutral_slots:
             patch = int(self.rng.choice(view.neutral_slots))
             if obs.target_mask[C.HARVEST, 2 * C.MAX_UNITS + patch]:
                 k = min(len(workers), 1 + int(self.rng.integers(0, 3)))

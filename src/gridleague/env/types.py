@@ -36,10 +36,6 @@ class Unit:
     train_progress: int = 0
 
     @property
-    def is_building(self) -> bool:
-        return self.type in C.BUILDING_TYPES
-
-    @property
     def complete(self) -> bool:
         return self.build_progress >= 1.0
 

@@ -135,8 +135,10 @@ def run_matches(jobs: list[MatchJob], parallel: int = 32,
             h = np.stack([g[2].h for g in group])
             c = np.stack([g[2].c for g in group])
             # each side consumes its own fixed-size draw, so outcomes do not
-            # depend on which games happen to be batched together
-            uniforms = np.stack([g[2].rng.random(N_DECISION_DRAWS) for g in group])
+            # depend on which games happen to be batched together; only
+            # sampling reads them
+            uniforms = (np.stack([g[2].rng.random(N_DECISION_DRAWS) for g in group])
+                        if agent.mode == "sample" else None)
             with T.no_grad():
                 out = agent.net.step(batch, (h, c), mode=agent.mode,
                                      uniforms=uniforms)

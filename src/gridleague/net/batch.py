@@ -3,9 +3,15 @@
 Groups are cropped to the largest valid count in the batch (masks make the
 padded tail inert, so cropping is invisible semantically and buys a large
 speedup at desk scale where most slots are empty).
+
+The legality masks are stacked on first access: only the decoder reads them,
+and a batch that is only encoded (the BC loader's per-trajectory batches,
+up to MAX_STEPS rows) never pays for them.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -43,6 +49,7 @@ class ObsBatch:
         if len(zs) != n:
             raise ValueError("zs length must match observations")
         self.size = n
+        self._observations = observations
         counts = np.array([[int(o.unit_mask[g].sum()) for g in range(3)]
                            for o in observations])
         self.group_n = tuple(max(1, int(counts[:, g].max())) for g in range(3))
@@ -58,16 +65,28 @@ class ObsBatch:
                           for g in range(3)]
         self.unit_mask = [np.stack([o.unit_mask[g, : self.group_n[g]] for o in observations]).astype(dtype)
                           for g in range(3)]
-        self.action_mask = np.stack([o.action_mask for o in observations])
-        self.select_mask = np.stack([o.select_mask[:, : self.group_n[0]] for o in observations])
-        tm = np.stack([o.target_mask for o in observations])   # (B, A, 3*MAX)
+
+    @cached_property
+    def action_mask(self) -> np.ndarray:
+        return np.stack([o.action_mask for o in self._observations])
+
+    @cached_property
+    def select_mask(self) -> np.ndarray:
+        return np.stack([o.select_mask[:, : self.group_n[0]] for o in self._observations])
+
+    @cached_property
+    def target_mask(self) -> np.ndarray:
+        tm = np.stack([o.target_mask for o in self._observations])   # (B, A, 3*MAX)
         n0, n1, n2 = self.group_n
-        self.target_mask = np.concatenate([
+        return np.concatenate([
             tm[:, :, 0:n0],
             tm[:, :, C.MAX_UNITS : C.MAX_UNITS + n1],
             tm[:, :, 2 * C.MAX_UNITS : 2 * C.MAX_UNITS + n2],
         ], axis=2)                                             # (B, A, n0+n1+n2)
-        self.position_mask = np.stack([o.position_mask for o in observations])
+
+    @cached_property
+    def position_mask(self) -> np.ndarray:
+        return np.stack([o.position_mask for o in self._observations])
 
     def local_to_global_target(self, local: int) -> int:
         n0, n1, n2 = self.group_n

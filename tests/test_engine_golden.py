@@ -2,10 +2,17 @@
 
 The corpus is every unordered pair of distinct archetypes on every map
 variant, plus one game of seeded random legal actions per variant (these
-reach masks the scripts never use, such as STOP and MOVE by workers). A
-rewrite of the engine that means to play the same game must reproduce every
-digest bit for bit; a change that means to alter the game updates GOLDEN and
-says why. Python's ``hash`` is salted per process, hence SHA-256.
+reach masks the scripts never use, such as STOP and MOVE by workers), all cut
+at STEPS. FULL_GOLDEN adds the six archetype pairs on FULL_VARIANT played to
+the end (at most MAX_STEPS): the late game of sieges, expansions, patches
+running dry and bases falling. A rewrite of the engine that means to play the
+same game must reproduce every digest bit for bit; a change that means to
+alter the game updates GOLDEN and says why. Python's ``hash`` is salted per
+process, hence SHA-256.
+
+Print every digest of the current source (to record a new corpus):
+
+    PYTHONPATH=src python tests/test_engine_golden.py
 """
 
 import hashlib
@@ -89,6 +96,32 @@ GOLDEN = {
 }
 
 
+FULL_VARIANT = "triton_toy"
+FULL_SEED0 = 100
+
+# full-length games: name -> (event-stream digest, observation digest)
+FULL_GOLDEN = {
+    "triton_toy/RUSH-ECON/full": (
+        "65293e5b0c1a494c932ce0db82566df5802fd591c360e6a21139a327ae2ba101",
+        "88d3eaf49db9b2f0be615f79b3ece41f1be212398d45563035d4ec7f17ef3026"),
+    "triton_toy/RUSH-BALANCED/full": (
+        "170773aa9b5c2773096427f275aca7375e907c57fda85156338941d854f774a4",
+        "75fc25ed409443fa82d56b11b1ddc0a651eabf9fbd8d5bbc40e642482963d9a2"),
+    "triton_toy/RUSH-TURTLE/full": (
+        "e3f98a7b17fd7f855349064e6f955b405be6ad65a6aa1d4831493b0c71c28f67",
+        "16447c4b30e71bbff8b749d79238c4678534efe4df64ab1d4843d2d5bcdd4945"),
+    "triton_toy/ECON-BALANCED/full": (
+        "2fdb4e0d274dff21f3f3497cf4bbba3cd831491eeec1b97e596162dfa374f40c",
+        "fbc19aeaf34cf960921ee5643c7b98877158056f58d448926858f5b8f1e36f3d"),
+    "triton_toy/ECON-TURTLE/full": (
+        "38c8cc47c24ac429d2d7f72ecf81ab3640568a2139f867dbde27dc54952fe55a",
+        "4c3df47f26fb457c8d1fe35fd10c5e70d3dc7faef27cb39f2cfc804867f333b7"),
+    "triton_toy/BALANCED-TURTLE/full": (
+        "d955e6e421572560fdb0fb5f1c5aa533226a64c4a5fd3285d72661ae15542692",
+        "1c86b6dad293ddd337c6f7ecdee68fd3ea7f2909627c6c7c3465c88461a7b70e"),
+}
+
+
 def _corpus():
     for variant in sorted(C.MAP_VARIANTS):
         for a0, a1 in itertools.combinations(ARCHETYPES, 2):
@@ -104,9 +137,14 @@ def _update(digest, obs) -> None:
         digest.update(arr.tobytes())
 
 
-def _play(seed: int, variant: str, archetypes):
-    """One game to STEPS; returns (game, event digest, observation digest)."""
-    game = Game(seed, variant, max_steps=STEPS)
+def _full_corpus():
+    for k, (a0, a1) in enumerate(itertools.combinations(ARCHETYPES, 2)):
+        yield f"{FULL_VARIANT}/{a0}-{a1}/full", FULL_SEED0 + k, (a0, a1)
+
+
+def _play(seed: int, variant: str, archetypes, steps: int = STEPS):
+    """One game to ``steps``; returns (game, event digest, observation digest)."""
+    game = Game(seed, variant, max_steps=steps)
     rngs = [np.random.default_rng(np.random.SeedSequence([seed, side])) for side in (0, 1)]
     if archetypes is None:
         deciders = [lambda obs, rng=rng: random_legal_action(obs, rng) for rng in rngs]
@@ -138,3 +176,29 @@ def test_engine_reproduces_golden_corpus():
     assert {"kill", "deposit", "build_start", "construct", "end"} <= kinds
     changed = sorted(name for name in digests if digests[name] != GOLDEN.get(name))
     assert not changed, {name: digests[name] for name in changed}
+
+
+def test_engine_reproduces_full_length_games():
+    digests, dry, last = {}, True, 0
+    for name, seed, archetypes in _full_corpus():
+        game, events, seen = _play(seed, FULL_VARIANT, archetypes, C.MAX_STEPS)
+        digests[name] = (events, seen)
+        dry &= all(u.remaining == 0 for u in game.units.values() if u.type == C.MINERAL)
+        last = max(last, game.step_count)
+    # well past STEPS, and harvesting meets patches that run dry
+    assert dry and last > 1000
+    changed = sorted(name for name in digests if digests[name] != FULL_GOLDEN.get(name))
+    assert not changed, {name: digests[name] for name in changed}
+
+
+if __name__ == "__main__":
+    tables = {"GOLDEN": [(name, seed, variant, archetypes, STEPS)
+                         for seed, (name, variant, archetypes) in enumerate(_corpus())],
+              "FULL_GOLDEN": [(name, seed, FULL_VARIANT, archetypes, C.MAX_STEPS)
+                              for name, seed, archetypes in _full_corpus()]}
+    for table, games in tables.items():
+        print(f"{table} = {{")
+        for name, *game in games:
+            _, events, seen = _play(*game)
+            print(f'    "{name}": (\n        "{events}",\n        "{seen}"),')
+        print("}")

@@ -1,4 +1,5 @@
-"""Match outcomes do not depend on which games share a batch."""
+"""Match outcomes do not depend on which games share a batch, and an argmax
+net's outcomes do not depend on its side's random stream."""
 
 import hashlib
 import json
@@ -6,6 +7,7 @@ import json
 import numpy as np
 from _helpers import TINY_NET
 
+from gridleague import match
 from gridleague.match import MatchJob, NetAgent, ScriptedAgent, run_matches
 from gridleague.net import PolicyNet
 
@@ -29,3 +31,31 @@ def test_event_streams_independent_of_parallelism():
     batched = _stream_hashes(run_matches(jobs, parallel=8))
     assert serial == batched
     assert len(set(serial)) == len(jobs)
+
+
+def test_argmax_sides_draw_nothing_and_ignore_their_rng(monkeypatch):
+    net = NetAgent(PolicyNet(TINY_NET, np.random.default_rng(7)), mode="argmax")
+    jobs = [MatchJob(300, "triton_toy", (net, ScriptedAgent("RUSH")), max_steps=150,
+                     record_events=True),
+            MatchJob(301, "kairos_toy", (net, net), max_steps=150, record_events=True)]
+    side_rng = match.side_rng
+
+    def play(salt: int) -> list[str]:
+        """Event-stream hashes with the net sides' streams salted by ``salt``."""
+        made = []
+
+        def spy(game_seed, side, base_salt=0):
+            is_net = next(j for j in jobs if j.seed == game_seed).agents[side] is net
+            rng = side_rng(game_seed, side, base_salt + (salt if is_net else 0))
+            made.append((is_net, rng, rng.bit_generator.state))
+            return rng
+
+        monkeypatch.setattr(match, "side_rng", spy)
+        hashes = _stream_hashes(run_matches(jobs))
+        assert sum(is_net for is_net, _, _ in made) == 3
+        for is_net, rng, state in made:
+            if is_net:
+                assert rng.bit_generator.state == state
+        return hashes
+
+    assert play(0) == play(1)
