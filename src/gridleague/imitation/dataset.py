@@ -103,7 +103,29 @@ def load_index(dataset_dir) -> dict:
         raise ValueError(f"{path}: broken dataset index ({exc})") from exc
     if not isinstance(index, dict) or index.get("format") != "gridleague-dataset-v1":
         raise ValueError(f"{path}: not a dataset index")
+    games = index.get("games")
+    if not isinstance(games, list):
+        raise ValueError(f"{path}: 'games' is not a list")
+    for i, entry in enumerate(games):
+        problem = _entry_problem(entry)
+        if problem:
+            raise ValueError(f"{path}: games[{i}]: {problem}")
     return index
+
+
+def _entry_problem(entry) -> str | None:
+    """What the loader cannot read in one index entry, or None."""
+    if not isinstance(entry, dict):
+        return "not an object"
+    if not isinstance(entry.get("file"), str):
+        return "'file' is not a string"
+    sides = entry.get("kept_sides")
+    if not isinstance(sides, list) or not all(type(s) is int and s in (0, 1) for s in sides):
+        return "'kept_sides' is not a list of sides 0 and 1"
+    names = entry.get("archetypes")
+    if not isinstance(names, list) or len(names) != 2 or not all(isinstance(a, str) for a in names):
+        return "'archetypes' is not two strings"
+    return None
 
 
 @dataclass

@@ -81,9 +81,8 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, key_mask: np.ndarray) -> T
     scores = T.masked_fill(scores, invalid, -1e9)
     weights = T.softmax(scores, axis=-1)
     out = T.matmul(weights, v)
-    has_valid = (key_mask.sum(axis=1) > 0).astype(out.dtype.type)
-    guard = np.broadcast_to(has_valid[:, None, None, None], out.shape).copy()
-    return T.mul(out, Tensor(guard))
+    has_valid = (key_mask.sum(axis=1) > 0).astype(out.dtype)
+    return T.mul(out, Tensor(has_valid[:, None, None, None]))
 
 
 class AttentionBlock:
@@ -139,8 +138,7 @@ class GroupTransformer:
                     if o != g:
                         parts.append(blocks[o](feats[g], feats[o], masks[o]))
                 x = T.add(feats[g], ffn(T.concat(parts, axis=2)))
-                qm = np.broadcast_to(masks[g][:, :, None], x.shape).copy()
-                new_feats.append(T.mul(x, Tensor(qm.astype(x.dtype.type))))
+                new_feats.append(T.mul(x, Tensor(masks[g][:, :, None].astype(x.dtype))))
             feats = new_feats
         return feats
 
@@ -160,8 +158,7 @@ class AttentionPool:
     def __call__(self, feats: Tensor, mask: np.ndarray) -> Tensor:
         b, n, _ = feats.shape
         cfg = self.cfg
-        null = T.reshape(self.null_row, (1, 1, cfg.d_model))
-        null = T.concat([null] * b, axis=0) if b > 1 else null
+        null = T.broadcast_to(self.null_row, (b, 1, cfg.d_model))
         x = T.concat([feats, null], axis=1)
         # the null key only becomes attendable when every real slot is masked
         empty = (mask.sum(axis=1) == 0).astype(mask.dtype)
@@ -169,24 +166,23 @@ class AttentionPool:
 
         k = split_heads(T.matmul(x, self.wk), cfg.attn_heads, cfg.head_size)
         v = split_heads(T.matmul(x, self.wv), cfg.attn_heads, cfg.head_size)
-        q = T.reshape(self.queries, (1, cfg.pool_queries, cfg.attn_width))
-        q = T.concat([q] * b, axis=0) if b > 1 else q
+        q = T.broadcast_to(self.queries, (b, cfg.pool_queries, cfg.attn_width))
         q = split_heads(q, cfg.attn_heads, cfg.head_size)
         pooled = masked_attention(q, k, v, full_mask)      # (B, H, nq, D)
         return T.reshape(merge_heads(pooled), (b, cfg.pool_queries * cfg.attn_width))
 
 
-def conditioned_concat_scores(query: Tensor, keys: Tensor, action_emb: Tensor,
-                              w: Tensor, key_mask: np.ndarray) -> Tensor:
+def conditioned_concat_scores(query: Tensor, key_proj: Tensor, action_emb: Tensor,
+                              w_query: Tensor, key_mask: np.ndarray) -> Tensor:
     """score_i = e_a . tanh(W [q; u_i]) with masked keys pushed to -1e9.
 
-    query (B, D), keys (B, N, K), action_emb (B, E); W ((D+K), E).
+    W ((D+K), E) is split by rows into a query half W_q (D, E) and a key half
+    W_k (K, E), so W [q; u_i] = q W_q + u_i W_k. The caller projects the keys
+    once per decode, key_proj = keys @ W_k (B, N, E), and passes W_q; each call
+    projects only its query, broadcast over the N keys. query (B, D),
+    action_emb (B, E), key_mask (B, N).
     """
-    b, n, kdim = keys.shape
-    qdim = query.shape[1]
-    q_rep = T.concat([T.reshape(query, (b, 1, qdim))] * n, axis=1) if n > 1 \
-        else T.reshape(query, (b, 1, qdim))
-    hidden = T.tanh(T.matmul(T.concat([q_rep, keys], axis=2), w))   # (B, N, E)
-    e = T.reshape(action_emb, (b, 1, action_emb.shape[1]))
-    scores = T.reduce_sum(T.mul(hidden, T.concat([e] * n, axis=1) if n > 1 else e), axis=2)
+    b, _, e = key_proj.shape
+    hidden = T.tanh(T.add(key_proj, T.reshape(T.matmul(query, w_query), (b, 1, e))))
+    scores = T.reduce_sum(T.mul(hidden, T.reshape(action_emb, (b, 1, e))), axis=2)
     return T.masked_fill(scores, (1.0 - key_mask), -1e9)

@@ -252,24 +252,25 @@ class PolicyNet:
             "queued", self.queued_head(cond), None,
             teacher_ids(lambda i, a: a.queued), 2, _USAGE[C.HEAD_QUEUED][ids])
 
-        # selected units: autoregressive pointer with stop token
+        # selected units: autoregressive pointer with stop token; the pointer
+        # weights are split into query and key halves and the keys projected once
+        d = cfg.d_model
         n0 = batch.group_n[0]
         my_feats = group_feats[0]
-        stop_key = T.reshape(self.su_stop, (1, 1, cfg.d_model))
-        stop_key = T.concat([stop_key] * n, axis=0) if n > 1 else stop_key
-        keys = T.concat([my_feats, stop_key], axis=1)           # (N, n0+1, d)
+        stop_key = T.broadcast_to(self.su_stop, (n, 1, d))
+        su_wq, su_wk = T.slice_axis(self.su_w, 0, 0, d), T.slice_axis(self.su_w, 0, d, 2 * d)
+        su_keys = T.matmul(T.concat([my_feats, stop_key], axis=1), su_wk)   # (N, n0+1, e)
         used_su = _USAGE[C.HEAD_SELECTED_UNITS][ids]
         sel_allowed = batch.select_mask[np.arange(n), ids].copy()  # (N, n0)
         active = used_su.copy()
         chosen = np.zeros((n, n0), dtype=bool)
         selections: list[list[int]] = [[] for _ in range(n)]
-        sum_emb = Tensor(np.zeros((n, cfg.d_model), dtype=self.dtype))
+        sum_emb = Tensor(np.zeros((n, d), dtype=self.dtype))
         counts = np.zeros(n)
 
         def mean_selected() -> Tensor:
             scale = (1.0 / np.maximum(counts, 1.0))[:, None]
-            return T.mul(sum_emb, Tensor(np.broadcast_to(
-                scale, (n, cfg.d_model)).astype(self.dtype).copy()))
+            return T.mul(sum_emb, Tensor(scale.astype(self.dtype)))
 
         lp_su = Tensor(np.zeros(n, dtype=self.dtype))
         for s in range(cfg.max_select):
@@ -280,15 +281,14 @@ class PolicyNet:
             stop_mask = ((s > 0) & active) | ~active
             key_mask = np.concatenate(
                 [unit_mask, stop_mask[:, None]], axis=1).astype(np.float64)
-            scores = conditioned_concat_scores(q, keys, e_a, self.su_w, key_mask)
+            scores = conditioned_concat_scores(q, su_keys, e_a, su_wq, key_mask)
             forced_s = teacher_ids(lambda i, a: a.selected_units[s]
                                    if used_su[i] and s < len(a.selected_units) else n0)
             choice, lp = choose("selected_units", scores, None, forced_s, 3 + s, active)
             lp_su = T.add(lp_su, lp)
             picked_unit = active & (choice < n0)
             emb = T.gather_rows(my_feats, np.minimum(choice, n0 - 1))
-            pick_f = picked_unit.astype(self.dtype)[:, None]
-            emb = T.mul(emb, Tensor(np.broadcast_to(pick_f, emb.shape).copy()))
+            emb = T.mul(emb, Tensor(picked_unit.astype(self.dtype)[:, None]))
             sum_emb = T.add(sum_emb, emb)
             counts += picked_unit
             for i in np.flatnonzero(picked_unit):
@@ -299,13 +299,13 @@ class PolicyNet:
         cond_sel = T.concat([cond, mean_selected()], axis=1)
 
         # target unit over all groups' features
-        keys_all = T.concat(group_feats, axis=1)
+        tu_wq, tu_wk = T.slice_axis(self.tu_w, 0, 0, d), T.slice_axis(self.tu_w, 0, d, 2 * d)
+        tu_keys = T.matmul(T.concat(group_feats, axis=1), tu_wk)
         used_tu = _USAGE[C.HEAD_TARGET_UNIT][ids]
         tmask = batch.target_mask[np.arange(n), ids].copy()
         tmask[~used_tu, 0] = True   # keep softmax well-posed on unused rows
         q_t = T.relu(self.tu_query(cond_sel))
-        scores_t = conditioned_concat_scores(q_t, keys_all, e_a, self.tu_w,
-                                             tmask.astype(np.float64))
+        scores_t = conditioned_concat_scores(q_t, tu_keys, e_a, tu_wq, tmask.astype(np.float64))
         forced_t = teacher_ids(lambda i, a: batch.global_to_local_target(a.target_unit)
                                if used_tu[i] and a.target_unit is not None else 0)
         tu_ids, head_lp["target_unit"] = choose(

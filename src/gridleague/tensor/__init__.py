@@ -1,42 +1,4 @@
-from .core import (
-    NumericError,
-    ShapeError,
-    Tensor,
-    add,
-    clamp,
-    concat,
-    conv2d,
-    debug_checks_enabled,
-    embedding_lookup,
-    exp,
-    gather_last,
-    gather_rows,
-    get_default_dtype,
-    log,
-    log_softmax,
-    masked_fill,
-    matmul,
-    minimum,
-    mul,
-    neg,
-    no_grad,
-    param,
-    reduce_max,
-    reduce_mean,
-    reduce_sum,
-    relu,
-    reshape,
-    set_debug_checks,
-    set_default_dtype,
-    sigmoid,
-    slice_axis,
-    softmax,
-    sub,
-    tanh,
-    tensor,
-    transpose,
-    using_dtype,
-)
+from .core import *  # noqa: F403 -- the public names are core.__all__
 from .checkpoint import CheckpointError, load_checkpoint, peek_version, save_checkpoint
 from .gradcheck import grad_check
 from .lstm import ResidualLSTM, lstm_cell

@@ -1,9 +1,11 @@
 """Dense tensors with reverse-mode automatic differentiation on numpy arrays.
 
 Two float modes: float64 for tests and gradient checks, float32 for training
-throughput. No broadcasting beyond trailing-dim bias add; all other shape
-adaptation must be explicit (reshape/transpose/concat), which keeps every
-backward rule auditable.
+throughput. One broadcasting rule: in ``add`` and ``mul`` the second operand
+may broadcast to the first operand's shape by numpy rules, and the result
+always has the first operand's shape; ``broadcast_to`` states any other
+expansion. All other shape adaptation is explicit (reshape/transpose/concat),
+which keeps every backward rule auditable.
 """
 
 from __future__ import annotations
@@ -16,17 +18,14 @@ __all__ = [
     "NumericError",
     "set_default_dtype",
     "get_default_dtype",
-    "using_dtype",
     "set_debug_checks",
-    "debug_checks_enabled",
     "no_grad",
-    "tensor",
     "param",
     "add",
-    "sub",
     "neg",
     "mul",
     "matmul",
+    "broadcast_to",
     "concat",
     "slice_axis",
     "reshape",
@@ -34,20 +33,14 @@ __all__ = [
     "tanh",
     "relu",
     "sigmoid",
-    "exp",
-    "log",
     "softmax",
     "log_softmax",
     "reduce_sum",
-    "reduce_mean",
-    "reduce_max",
     "embedding_lookup",
     "masked_fill",
     "gather_rows",
     "gather_last",
     "conv2d",
-    "clamp",
-    "minimum",
 ]
 
 
@@ -91,33 +84,10 @@ def get_default_dtype():
     return _default_dtype
 
 
-class using_dtype:
-    """Context manager that temporarily switches the default float mode."""
-
-    def __init__(self, dtype):
-        self.dtype = dtype
-        self._saved = None
-
-    def __enter__(self):
-        global _default_dtype
-        self._saved = _default_dtype
-        set_default_dtype(self.dtype)
-        return self
-
-    def __exit__(self, *exc):
-        global _default_dtype
-        _default_dtype = self._saved
-        return False
-
-
 def set_debug_checks(enabled: bool) -> None:
     """Enable NaN/Inf verification after every forward op (slow; for tests)."""
     global _debug_checks
     _debug_checks = bool(enabled)
-
-
-def debug_checks_enabled() -> bool:
-    return _debug_checks
 
 
 class Tensor:
@@ -161,18 +131,6 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
-    def numpy(self) -> np.ndarray:
-        return self.data
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False, op="detach")
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self):
         tag = self.name or self.op
         return f"Tensor({tag}, shape={self.data.shape}, dtype={self.data.dtype.name})"
@@ -199,28 +157,6 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
-    # -- operator sugar ------------------------------------------------------
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, *shape):
-        return reshape(self, *shape)
-
 
 def _toposort(root: Tensor) -> list[Tensor]:
     """Iterative DFS post-order, reversed; recursion would overflow on long unrolls."""
@@ -242,10 +178,6 @@ def _toposort(root: Tensor) -> list[Tensor]:
                 stack.append((p, False))
     order.reverse()
     return order
-
-
-def tensor(data, requires_grad=False, name=None) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad, name=name)
 
 
 def param(data, name=None) -> Tensor:
@@ -290,23 +222,41 @@ def _check_same_dtype(op: str, *ts: Tensor) -> None:
 # -- arithmetic ---------------------------------------------------------------
 
 
+def _operand(op: str, a: Tensor, b) -> tuple[Tensor, tuple[Tensor, ...]]:
+    """``b`` as a Tensor that broadcasts to ``a``'s shape, and the op's parents.
+
+    A python scalar becomes a constant of ``a``'s dtype and is no graph parent.
+    """
+    if isinstance(b, (int, float)):
+        return Tensor(np.asarray(b, dtype=a.data.dtype)), (a,)
+    b = _as_tensor(b)
+    _check_same_dtype(op, a, b)
+    lead = a.ndim - b.ndim
+    if b.shape != a.shape and (lead < 0 or any(
+            n not in (1, m) for n, m in zip(b.shape, a.shape[lead:]))):
+        raise ShapeError(f"{op}: shape {b.shape} does not broadcast to {a.shape}")
+    return b, (a, b)
+
+
+def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
+    """Sum ``g`` over the axes that broadcasting to ``g.shape`` stretched."""
+    lead = g.ndim - len(shape)
+    axes = tuple(range(lead)) + tuple(
+        lead + i for i, n in enumerate(shape) if n == 1 and g.shape[lead + i] != 1)
+    return g.sum(axis=axes).reshape(shape) if axes else g
+
+
 def add(a, b) -> Tensor:
-    """Elementwise add; the only broadcast allowed is a trailing-dim bias."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_same_dtype("add", a, b)
-    bias = b.ndim == 1 and a.ndim > 1 and a.shape[-1] == b.shape[0]
-    if not bias and a.shape != b.shape:
-        raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not conform")
-    data = a.data + b.data
+    """Elementwise ``a + b``; ``b`` may broadcast to ``a``'s shape."""
+    a = _as_tensor(a)
+    b, parents = _operand("add", a, b)
 
     def backward(g):
         _accum(a, g)
-        if bias:
-            _accum(b, g.reshape(-1, b.shape[0]).sum(axis=0))
-        else:
-            _accum(b, g)
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g, b.shape))
 
-    return _make(data, (a, b), "add", backward)
+    return _make(a.data + b.data, parents, "add", backward)
 
 
 def neg(a) -> Tensor:
@@ -318,40 +268,33 @@ def neg(a) -> Tensor:
     return _make(-a.data, (a,), "neg", backward)
 
 
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_same_dtype("sub", a, b)
-    if a.shape != b.shape:
-        raise ShapeError(f"sub: shapes {a.shape} and {b.shape} do not conform")
-
-    def backward(g):
-        _accum(a, g)
-        _accum(b, -g)
-
-    return _make(a.data - b.data, (a, b), "sub", backward)
-
-
 def mul(a, b) -> Tensor:
-    """Elementwise product; one operand may be a python scalar."""
-    if isinstance(b, (int, float)) and isinstance(a, Tensor):
-        s = float(b)
-
-        def backward_s(g):
-            _accum(a, g * s)
-
-        return _make(a.data * s, (a,), "mul", backward_s)
-    if isinstance(a, (int, float)) and isinstance(b, Tensor):
-        return mul(b, a)
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_same_dtype("mul", a, b)
-    if a.shape != b.shape:
-        raise ShapeError(f"mul: shapes {a.shape} and {b.shape} do not conform")
+    """Elementwise ``a * b``; ``b`` may broadcast to ``a``'s shape."""
+    a = _as_tensor(a)
+    b, parents = _operand("mul", a, b)
 
     def backward(g):
-        _accum(a, g * b.data)
-        _accum(b, g * a.data)
+        if a.requires_grad:
+            _accum(a, g * b.data)
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g * a.data, b.shape))
 
-    return _make(a.data * b.data, (a, b), "mul", backward)
+    return _make(a.data * b.data, parents, "mul", backward)
+
+
+def broadcast_to(a, shape) -> Tensor:
+    """``a`` expanded to ``shape`` by numpy broadcasting (a read-only view)."""
+    a = _as_tensor(a)
+    shape = tuple(shape)
+    try:
+        data = np.broadcast_to(a.data, shape)
+    except ValueError:
+        raise ShapeError(f"broadcast_to: {a.shape} does not broadcast to {shape}") from None
+
+    def backward(g):
+        _accum(a, _unbroadcast(g, a.shape))
+
+    return _make(data, (a,), "broadcast_to", backward)
 
 
 def matmul(a, b) -> Tensor:
@@ -372,7 +315,10 @@ def matmul(a, b) -> Tensor:
     data = np.matmul(a.data, b.data)
 
     def backward(g):
-        _accum(a, np.matmul(g, np.swapaxes(b.data, -1, -2)))
+        if a.requires_grad:
+            _accum(a, np.matmul(g, np.swapaxes(b.data, -1, -2)))
+        if not b.requires_grad:
+            return
         if weight_case:
             k = a.shape[-1]
             n = b.shape[-1]
@@ -421,7 +367,7 @@ def slice_axis(a, axis: int, start: int, stop: int) -> Tensor:
         full[idx] = g
         _accum(a, full)
 
-    return _make(a.data[idx], (a,), "slice", backward)
+    return _make(a.data[idx], (a,), "slice_axis", backward)
 
 
 def reshape(a, *shape) -> Tensor:
@@ -485,30 +431,6 @@ def sigmoid(a) -> Tensor:
     return _make(y, (a,), "sigmoid", backward)
 
 
-def exp(a) -> Tensor:
-    a = _as_tensor(a)
-    y = np.exp(a.data)
-
-    def backward(g):
-        _accum(a, g * y)
-
-    return _make(y, (a,), "exp", backward)
-
-
-def log(a) -> Tensor:
-    a = _as_tensor(a)
-    if not np.all(np.isfinite(a.data)):
-        raise NumericError("log: non-finite input")
-    if np.any(a.data <= 0):
-        raise NumericError("log: non-positive input")
-    y = np.log(a.data)
-
-    def backward(g):
-        _accum(a, g / a.data)
-
-    return _make(y, (a,), "log", backward)
-
-
 def softmax(a, axis: int = -1) -> Tensor:
     """Max-subtracted softmax; masked_fill(-1e9) entries get ~0 probability."""
     a = _as_tensor(a)
@@ -526,7 +448,7 @@ def softmax(a, axis: int = -1) -> Tensor:
 
 
 def log_softmax(a, axis: int = -1) -> Tensor:
-    """Fused, stable log-softmax (the KL and entropy losses need it)."""
+    """Fused, stable log-softmax."""
     a = _as_tensor(a)
     if not np.all(np.isfinite(a.data)):
         raise NumericError("log_softmax: non-finite input")
@@ -562,31 +484,6 @@ def reduce_sum(a, axis=None, keepdims=False) -> Tensor:
         _accum(a, _expand_reduced(g, a.shape, axis, keepdims).astype(a.data.dtype))
 
     return _make(data, (a,), "reduce_sum", backward)
-
-
-def reduce_mean(a, axis=None, keepdims=False) -> Tensor:
-    a = _as_tensor(a)
-    data = a.data.mean(axis=axis, keepdims=keepdims)
-    count = a.data.size if axis is None else a.shape[axis]
-
-    def backward(g):
-        _accum(a, _expand_reduced(g, a.shape, axis, keepdims).astype(a.data.dtype) / count)
-
-    return _make(data, (a,), "reduce_mean", backward)
-
-
-def reduce_max(a, axis=None, keepdims=False) -> Tensor:
-    a = _as_tensor(a)
-    data = a.data.max(axis=axis, keepdims=keepdims)
-
-    def backward(g):
-        mx = _expand_reduced(data, a.shape, axis, keepdims)
-        mask = a.data == mx
-        counts = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
-        gg = _expand_reduced(g, a.shape, axis, keepdims)
-        _accum(a, (mask * gg / counts).astype(a.data.dtype))
-
-    return _make(data, (a,), "reduce_max", backward)
 
 
 # -- indexing -----------------------------------------------------------------
@@ -698,52 +595,26 @@ def conv2d(x, w, stride: int = 1) -> Tensor:
     s = int(stride)
     oh = (h - kh) // s + 1
     ow = (wd - kw) // s + 1
+    taps = [(i, j) for i in range(kh) for j in range(kw)]
+
+    def window(i, j):
+        return slice(None), slice(i, i + s * oh, s), slice(j, j + s * ow, s)
+
     out = np.zeros((b, oh, ow, cout), dtype=x.data.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            patch = x.data[:, i : i + s * oh : s, j : j + s * ow : s, :]
-            out += np.matmul(patch, w.data[i, j])
+    for i, j in taps:
+        out += np.matmul(x.data[window(i, j)], w.data[i, j])
 
     def backward(g):
-        dx = np.zeros_like(x.data)
-        dw = np.zeros_like(w.data)
-        g2 = g.reshape(-1, cout)
-        for i in range(kh):
-            for j in range(kw):
-                patch = x.data[:, i : i + s * oh : s, j : j + s * ow : s, :]
-                dw[i, j] = patch.reshape(-1, cin).T @ g2
-                dx[:, i : i + s * oh : s, j : j + s * ow : s, :] += np.matmul(
-                    g, w.data[i, j].T
-                )
-        _accum(x, dx)
-        _accum(w, dw)
+        if w.requires_grad:
+            dw = np.zeros_like(w.data)
+            g2 = g.reshape(-1, cout)
+            for i, j in taps:
+                dw[i, j] = x.data[window(i, j)].reshape(-1, cin).T @ g2
+            _accum(w, dw)
+        if x.requires_grad:     # the raw spatial input needs no gradient
+            dx = np.zeros_like(x.data)
+            for i, j in taps:
+                dx[window(i, j)] += np.matmul(g, w.data[i, j].T)
+            _accum(x, dx)
 
     return _make(out, (x, w), "conv2d", backward)
-
-
-# -- clipping -----------------------------------------------------------------
-
-
-def clamp(a, lo: float, hi: float) -> Tensor:
-    a = _as_tensor(a)
-    data = np.clip(a.data, lo, hi)
-    inside = (a.data > lo) & (a.data < hi)
-
-    def backward(g):
-        _accum(a, g * inside)
-
-    return _make(data, (a,), "clamp", backward)
-
-
-def minimum(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_same_dtype("minimum", a, b)
-    if a.shape != b.shape:
-        raise ShapeError(f"minimum: shapes {a.shape} and {b.shape} do not conform")
-    take_a = a.data <= b.data
-
-    def backward(g):
-        _accum(a, g * take_a)
-        _accum(b, g * ~take_a)
-
-    return _make(np.where(take_a, a.data, b.data), (a, b), "minimum", backward)

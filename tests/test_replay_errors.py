@@ -64,3 +64,32 @@ def test_broken_index_names_path(tmp_path):
     path.write_text("[]")
     with pytest.raises(ValueError, match="not a dataset index"):
         load_index(tmp_path)
+
+
+
+GOOD = {"file": "game.jsonl", "kept_sides": [0, 1], "archetypes": ["RUSH", "ECON"]}
+
+
+def _without(key):
+    return {k: v for k, v in GOOD.items() if k != key}
+
+
+@pytest.mark.parametrize("games,problem", [
+    (5, "'games' is not a list"),
+    ([GOOD, "game.jsonl"], "not an object"),
+    ([GOOD, _without("file")], "'file'"),
+    ([GOOD, {**GOOD, "file": 3}], "'file'"),
+    ([GOOD, _without("kept_sides")], "'kept_sides'"),
+    ([GOOD, {**GOOD, "kept_sides": [2]}], "'kept_sides'"),
+    ([GOOD, {**GOOD, "kept_sides": 0}], "'kept_sides'"),
+    ([GOOD, {**GOOD, "archetypes": ["RUSH"]}], "'archetypes'"),
+], ids=["games_not_list", "entry_not_object", "no_file", "file_not_str", "no_kept_sides",
+        "side_2", "sides_not_list", "one_archetype"])
+def test_malformed_index_entry_names_path_and_entry(tmp_path, games, problem):
+    path = tmp_path / "index.json"
+    path.write_text(json.dumps({"format": "gridleague-dataset-v1", "games": games}))
+    where = "" if problem.startswith("'games'") else r"games\[1\]: "
+    for load in (load_index, WindowLoader):
+        with pytest.raises(ValueError, match=f"index.json: {where}{problem}") as info:
+            load(tmp_path)
+        assert type(info.value) is ValueError
