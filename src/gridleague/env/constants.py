@@ -52,7 +52,6 @@ SUPPLY_COST = {WORKER: 1, LIGHT: 1, RAIDER: 1, SIEGE: 2}
 SUPPLY_PER_BASE = 10
 TRAIN_TIME = {WORKER: 15, LIGHT: 20, RAIDER: 20, SIEGE: 30}
 BUILD_TIME = {BASE: 60, BARRACKS: 30, FACTORY: 40}
-PRODUCER = {WORKER: BASE, LIGHT: BARRACKS, RAIDER: BARRACKS, SIEGE: FACTORY}
 # buildings a worker may place, and their tech requirement (must own one, completed)
 TECH_REQUIREMENT = {BASE: None, BARRACKS: BASE, FACTORY: BARRACKS}
 

@@ -21,6 +21,9 @@ from .types import Observation, StructuredAction
 
 ARCHETYPES = ("RUSH", "ECON", "BALANCED", "TURTLE")
 
+_BUILD_ACTION = {t: a for a, t in C.BUILD_ACTION_TYPE.items()}
+_TRAIN_ACTION = {t: a for a, t in C.TRAIN_ACTION_TYPE.items()}
+
 
 @dataclass
 class _Profile:
@@ -203,8 +206,7 @@ class ScriptedPolicy:
             have = owned.count(btype) - (1 if btype == C.BASE else 0)
             if have > 0:
                 continue
-            action = {C.BASE: C.BUILD_BASE, C.BARRACKS: C.BUILD_BARRACKS,
-                      C.FACTORY: C.BUILD_FACTORY}[btype]
+            action = _BUILD_ACTION[btype]
             if not mask[action]:
                 break  # wait for resources/tech before later entries
             builder = [s for s in workers if obs.select_mask[action, s]]
@@ -220,8 +222,7 @@ class ScriptedPolicy:
         total = max(1, sum(army_counts.values()))
         best_action, best_deficit = None, -1e9
         for t, share in p.army_mix.items():
-            act = {C.LIGHT: C.TRAIN_LIGHT, C.RAIDER: C.TRAIN_RAIDER,
-                   C.SIEGE: C.TRAIN_SIEGE}[t]
+            act = _TRAIN_ACTION[t]
             if not mask[act]:
                 continue
             deficit = share - army_counts[t] / total

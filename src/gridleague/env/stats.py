@@ -6,7 +6,7 @@ from . import constants as C
 from .types import StatisticZ
 
 
-def extract_statistic(events, player: int, up_to_step: int | None = None) -> StatisticZ:
+def extract_statistic(events, player: int) -> StatisticZ:
     """First-K build order and constructed-type presence for one player.
 
     Only "construct" events count (completed units and buildings); the
@@ -17,8 +17,6 @@ def extract_statistic(events, player: int, up_to_step: int | None = None) -> Sta
     for ev in events:
         if ev["kind"] != "construct" or ev["player"] != player:
             continue
-        if up_to_step is not None and ev["step"] > up_to_step:
-            break
         t = int(ev["payload"]["type"])
         present[t] = True
         if len(build_order) < C.BUILD_ORDER_K:

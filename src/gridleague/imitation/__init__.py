@@ -1,6 +1,5 @@
 from .bc import BCConfig, BCTrainer, bc_loss, teacher_agreement, window_forward
 from .dataset import (
-    ABLATION_SIZES,
     Trajectory,
     Window,
     WindowLoader,

@@ -15,7 +15,6 @@ memory that encoding one trajectory takes.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,12 +31,8 @@ from ..net import ObsBatch
 INDEX_NAME = "index.json"
 TIERS = ("full", "winners")
 
-# desk-scale analog of the small/medium/large replay-count ablation
-ABLATION_SIZES = {"small": 200, "medium": 800, "large": 4000}
 
-
-def _one_game(args) -> dict:
-    out_dir, seed, i, mix, variants, max_steps = args
+def _one_game(out_dir: Path, seed: int, i: int, mix, variants, max_steps: int) -> dict:
     rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
     a0 = mix[int(rng.integers(0, len(mix)))]
     a1 = mix[int(rng.integers(0, len(mix)))]
@@ -45,7 +40,7 @@ def _one_game(args) -> dict:
     game_seed = int(rng.integers(0, 2**31))
     game = play_scripted_match(a0, a1, game_seed, variant, max_steps=max_steps)
     fname = f"game_{i:05d}.jsonl"
-    write_replay(Path(out_dir) / fname, game, meta={"archetypes": [a0, a1]})
+    write_replay(out_dir / fname, game, meta={"archetypes": [a0, a1]})
     return {
         "file": fname,
         "seed": game_seed,
@@ -59,7 +54,7 @@ def _one_game(args) -> dict:
 def generate_dataset(out_dir, n_games: int, seed: int, tier: str = "full",
                      mix: tuple[str, ...] = ARCHETYPES,
                      variants: tuple[str, ...] = C.TRAIN_VARIANTS,
-                     max_steps: int = C.MAX_STEPS, workers: int = 1) -> dict:
+                     max_steps: int = C.MAX_STEPS) -> dict:
     """Self-play among archetypes; the winners tier keeps only winning sides."""
     if n_games < 1:
         raise ValueError("n_games must be >= 1")
@@ -70,13 +65,7 @@ def generate_dataset(out_dir, n_games: int, seed: int, tier: str = "full",
             raise ValueError(f"unknown archetype {a!r} in mix")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    jobs = [(str(out_dir), seed, i, tuple(mix), tuple(variants), max_steps)
-            for i in range(n_games)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            games = list(ex.map(_one_game, jobs, chunksize=8))
-    else:
-        games = [_one_game(j) for j in jobs]
+    games = [_one_game(out_dir, seed, i, mix, variants, max_steps) for i in range(n_games)]
     for g in games:
         if tier == "winners":
             g["kept_sides"] = [] if g["winner"] is None else [g["winner"]]

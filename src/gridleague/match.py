@@ -102,8 +102,7 @@ class _LiveMatch:
             self.sides.append(st)
 
 
-def run_matches(jobs: list[MatchJob], parallel: int = 32,
-                on_result=None) -> list[MatchResult]:
+def run_matches(jobs: list[MatchJob], parallel: int = 32) -> list[MatchResult]:
     """Play every job to completion; returns results in job order."""
     results: list[MatchResult | None] = [None] * len(jobs)
     queue = list(enumerate(jobs))
@@ -154,11 +153,8 @@ def run_matches(jobs: list[MatchJob], parallel: int = 32,
         for li, (idx, m) in enumerate(live):
             m.game.step_env(scripted_acts.get(li))
             if m.game.done:
-                res = MatchResult(job=m.job, winner=m.game.outcome.winner,
-                                  end_step=m.game.outcome.end_step, game=m.game)
-                results[idx] = res
-                if on_result is not None:
-                    on_result(res)
+                results[idx] = MatchResult(job=m.job, winner=m.game.outcome.winner,
+                                           end_step=m.game.outcome.end_step, game=m.game)
             else:
                 still.append((idx, m))
         live = still
@@ -176,19 +172,19 @@ def wilson_interval(wins: float, n: int, z: float = 1.96) -> tuple[float, float]
 
 
 def evaluate_match(agent_a, agent_b, n_games: int, seed: int = 0,
-                   variant: str = "triton_toy", mirrored: bool = True,
-                   parallel: int = 32, max_steps: int = C.MAX_STEPS) -> dict:
+                   variant: str = "triton_toy", parallel: int = 32,
+                   max_steps: int = C.MAX_STEPS) -> dict:
     """Win rate of A vs B with a 95% Wilson interval; draws count one half.
 
-    With mirroring each seed is played twice with the sides swapped, so a
-    policy against itself scores exactly 0.5.
+    Mirrored: each seed is played twice with the sides swapped, so a policy
+    against itself scores exactly 0.5.
     """
     if n_games < 1:
         raise ValueError("n_games must be >= 1")
     jobs = []
     for i in range(n_games):
-        game_seed = seed + i // (2 if mirrored else 1)
-        if mirrored and i % 2 == 1:
+        game_seed = seed + i // 2
+        if i % 2 == 1:
             jobs.append(MatchJob(game_seed, variant, (agent_b, agent_a),
                                  max_steps=max_steps, tag="swapped"))
         else:

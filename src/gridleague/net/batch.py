@@ -75,32 +75,21 @@ class ObsBatch:
         return np.stack([o.select_mask[:, : self.group_n[0]] for o in self._observations])
 
     @cached_property
+    def target_slots(self) -> np.ndarray:
+        """The global slot of each local target index, groups in order."""
+        return np.concatenate([g * C.MAX_UNITS + np.arange(n) for g, n in enumerate(self.group_n)])
+
+    @cached_property
     def target_mask(self) -> np.ndarray:
-        tm = np.stack([o.target_mask for o in self._observations])   # (B, A, 3*MAX)
-        n0, n1, n2 = self.group_n
-        return np.concatenate([
-            tm[:, :, 0:n0],
-            tm[:, :, C.MAX_UNITS : C.MAX_UNITS + n1],
-            tm[:, :, 2 * C.MAX_UNITS : 2 * C.MAX_UNITS + n2],
-        ], axis=2)                                             # (B, A, n0+n1+n2)
+        """(B, A, n0+n1+n2): every group's cropped target slots, side by side."""
+        return np.stack([o.target_mask for o in self._observations])[:, :, self.target_slots]
 
     @cached_property
     def position_mask(self) -> np.ndarray:
         return np.stack([o.position_mask for o in self._observations])
 
     def local_to_global_target(self, local: int) -> int:
-        n0, n1, n2 = self.group_n
-        if local < n0:
-            return local
-        if local < n0 + n1:
-            return C.MAX_UNITS + (local - n0)
-        return 2 * C.MAX_UNITS + (local - n0 - n1)
+        return int(self.target_slots[local])
 
     def global_to_local_target(self, global_slot: int) -> int:
-        n0, n1, _ = self.group_n
-        g, i = divmod(global_slot, C.MAX_UNITS)
-        if g == 0:
-            return i
-        if g == 1:
-            return n0 + i
-        return n0 + n1 + i
+        return int(np.searchsorted(self.target_slots, global_slot))

@@ -74,11 +74,8 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, key_mask: np.ndarray) -> T
     zero attention weight; if a sample has no valid key at all its output is
     zeroed outright (the explicit empty-group guard).
     """
-    b, h, nq, d = q.shape
-    nk = k.shape[2]
-    scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(d))
-    invalid = np.broadcast_to((1.0 - key_mask)[:, None, None, :], (b, h, nq, nk))
-    scores = T.masked_fill(scores, invalid, -1e9)
+    scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(q.shape[3]))
+    scores = T.masked_fill(scores, (key_mask == 0)[:, None, None, :], -1e9)
     weights = T.softmax(scores, axis=-1)
     out = T.matmul(weights, v)
     has_valid = (key_mask.sum(axis=1) > 0).astype(out.dtype)
@@ -180,9 +177,9 @@ def conditioned_concat_scores(query: Tensor, key_proj: Tensor, action_emb: Tenso
     W_k (K, E), so W [q; u_i] = q W_q + u_i W_k. The caller projects the keys
     once per decode, key_proj = keys @ W_k (B, N, E), and passes W_q; each call
     projects only its query, broadcast over the N keys. query (B, D),
-    action_emb (B, E), key_mask (B, N).
+    action_emb (B, E), key_mask (B, N) bool, True where a key may be chosen.
     """
     b, _, e = key_proj.shape
     hidden = T.tanh(T.add(key_proj, T.reshape(T.matmul(query, w_query), (b, 1, e))))
     scores = T.reduce_sum(T.mul(hidden, T.reshape(action_emb, (b, 1, e))), axis=2)
-    return T.masked_fill(scores, (1.0 - key_mask), -1e9)
+    return T.masked_fill(scores, ~key_mask, -1e9)

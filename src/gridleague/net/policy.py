@@ -195,7 +195,7 @@ class PolicyNet:
         every row uses it).
         """
         if mask is not None:
-            logits = T.masked_fill(logits, (~mask).astype(np.float64), -1e9)
+            logits = T.masked_fill(logits, ~mask, -1e9)
         logp = T.log_softmax(logits, axis=1)
         ids = _choose(logp.data, mode, forced, u)
         lp = T.gather_last(logp, ids)
@@ -261,8 +261,8 @@ class PolicyNet:
         su_wq, su_wk = T.slice_axis(self.su_w, 0, 0, d), T.slice_axis(self.su_w, 0, d, 2 * d)
         su_keys = T.matmul(T.concat([my_feats, stop_key], axis=1), su_wk)   # (N, n0+1, e)
         used_su = _USAGE[C.HEAD_SELECTED_UNITS][ids]
-        sel_allowed = batch.select_mask[np.arange(n), ids].copy()  # (N, n0)
-        active = used_su.copy()
+        sel_allowed = batch.select_mask[np.arange(n), ids]  # (N, n0)
+        active = used_su
         chosen = np.zeros((n, n0), dtype=bool)
         selections: list[list[int]] = [[] for _ in range(n)]
         sum_emb = Tensor(np.zeros((n, d), dtype=self.dtype))
@@ -279,8 +279,7 @@ class PolicyNet:
             q = T.relu(self.su_query(T.concat([cond, mean_selected()], axis=1)))
             unit_mask = sel_allowed & ~chosen & active[:, None]
             stop_mask = ((s > 0) & active) | ~active
-            key_mask = np.concatenate(
-                [unit_mask, stop_mask[:, None]], axis=1).astype(np.float64)
+            key_mask = np.concatenate([unit_mask, stop_mask[:, None]], axis=1)
             scores = conditioned_concat_scores(q, su_keys, e_a, su_wq, key_mask)
             forced_s = teacher_ids(lambda i, a: a.selected_units[s]
                                    if used_su[i] and s < len(a.selected_units) else n0)
@@ -302,10 +301,10 @@ class PolicyNet:
         tu_wq, tu_wk = T.slice_axis(self.tu_w, 0, 0, d), T.slice_axis(self.tu_w, 0, d, 2 * d)
         tu_keys = T.matmul(T.concat(group_feats, axis=1), tu_wk)
         used_tu = _USAGE[C.HEAD_TARGET_UNIT][ids]
-        tmask = batch.target_mask[np.arange(n), ids].copy()
+        tmask = batch.target_mask[np.arange(n), ids]
         tmask[~used_tu, 0] = True   # keep softmax well-posed on unused rows
         q_t = T.relu(self.tu_query(cond_sel))
-        scores_t = conditioned_concat_scores(q_t, tu_keys, e_a, tu_wq, tmask.astype(np.float64))
+        scores_t = conditioned_concat_scores(q_t, tu_keys, e_a, tu_wq, tmask)
         forced_t = teacher_ids(lambda i, a: batch.global_to_local_target(a.target_unit)
                                if used_tu[i] and a.target_unit is not None else 0)
         tu_ids, head_lp["target_unit"] = choose(
@@ -313,7 +312,7 @@ class PolicyNet:
 
         # target position over the grid, conditioned on conv skip features
         used_p = _USAGE[C.HEAD_TARGET_POSITION][ids]
-        pmask = batch.position_mask[np.arange(n), ids].copy()
+        pmask = batch.position_mask[np.arange(n), ids]
         pmask[~used_p, 0] = True
         forced_p = teacher_ids(lambda i, a: a.target_position
                                if used_p[i] and a.target_position is not None else 0)

@@ -1,11 +1,18 @@
 """Dense tensors with reverse-mode automatic differentiation on numpy arrays.
 
 Two float modes: float64 for tests and gradient checks, float32 for training
-throughput. One broadcasting rule: in ``add`` and ``mul`` the second operand
-may broadcast to the first operand's shape by numpy rules, and the result
-always has the first operand's shape; ``broadcast_to`` states any other
-expansion. All other shape adaptation is explicit (reshape/transpose/concat),
-which keeps every backward rule auditable.
+throughput. Inputs are stated, never converted:
+
+- ``Tensor`` wraps a float32 or float64 ndarray; anything else is a
+  ``TypeError``. Parameters and inputs carry their dtype from the caller.
+- Ops take ``Tensor`` operands; ``add`` and ``mul`` also take a python scalar
+  as their second operand, a constant of the first operand's dtype.
+- One broadcasting rule: in ``add`` and ``mul`` the second operand may
+  broadcast to the first operand's shape by numpy rules, and the result
+  always has the first operand's shape. ``masked_fill`` takes a bool mask
+  that broadcasts to its input by the same rule. ``broadcast_to`` states any
+  other expansion; all other shape adaptation is explicit
+  (reshape/transpose/concat), which keeps every backward rule auditable.
 """
 
 from __future__ import annotations
@@ -16,8 +23,6 @@ __all__ = [
     "Tensor",
     "ShapeError",
     "NumericError",
-    "set_default_dtype",
-    "get_default_dtype",
     "set_debug_checks",
     "no_grad",
     "param",
@@ -52,7 +57,6 @@ class NumericError(ArithmeticError):
     """Non-finite values where the op's domain requires finite input."""
 
 
-_default_dtype = np.float64
 _debug_checks = False
 _grad_enabled = True
 
@@ -72,18 +76,6 @@ class no_grad:
         return False
 
 
-def set_default_dtype(dtype) -> None:
-    global _default_dtype
-    dtype = np.dtype(dtype)
-    if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ValueError(f"unsupported dtype {dtype}; use float32 or float64")
-    _default_dtype = dtype.type
-
-
-def get_default_dtype():
-    return _default_dtype
-
-
 def set_debug_checks(enabled: bool) -> None:
     """Enable NaN/Inf verification after every forward op (slow; for tests)."""
     global _debug_checks
@@ -101,12 +93,10 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "op", "_parents", "_backward", "name")
 
     def __init__(self, data, requires_grad=False, op="leaf", name=None):
-        if isinstance(data, Tensor):
-            raise TypeError("wrap ndarray or nested lists, not a Tensor")
-        arr = np.asarray(data)
-        if arr.dtype not in (np.float32, np.float64):
-            arr = arr.astype(_default_dtype)
-        self.data = arr
+        if not isinstance(data, np.ndarray) or data.dtype not in (np.float32, np.float64):
+            raise TypeError("Tensor wraps a float32 or float64 ndarray, got "
+                            f"{getattr(data, 'dtype', type(data).__name__)}")
+        self.data = data
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self.op = op
@@ -182,7 +172,7 @@ def _toposort(root: Tensor) -> list[Tensor]:
 
 def param(data, name=None) -> Tensor:
     """Leaf tensor holding learned weights."""
-    return Tensor(np.asarray(data), requires_grad=True, op="param", name=name)
+    return Tensor(data, requires_grad=True, op="param", name=name)
 
 
 # -- op plumbing -------------------------------------------------------------
@@ -199,18 +189,14 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], op: str, backward=None) -> Tensor:
+    """The one builder of op outputs; an op's own array needs no re-checking."""
     if _debug_checks and not np.all(np.isfinite(data)):
         raise NumericError(f"{op}: non-finite values in forward output")
-    requires = _grad_enabled and any(p.requires_grad for p in parents)
-    out = Tensor(data, requires_grad=requires, op=op)
-    if requires:
-        out._parents = parents
-        out._backward = backward
+    out = Tensor.__new__(Tensor)
+    out.data, out.grad, out.op, out.name = data, None, op, None
+    out.requires_grad = _grad_enabled and any(p.requires_grad for p in parents)
+    out._parents, out._backward = (parents, backward) if out.requires_grad else ((), None)
     return out
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=_default_dtype))
 
 
 def _check_same_dtype(op: str, *ts: Tensor) -> None:
@@ -229,13 +215,16 @@ def _operand(op: str, a: Tensor, b) -> tuple[Tensor, tuple[Tensor, ...]]:
     """
     if isinstance(b, (int, float)):
         return Tensor(np.asarray(b, dtype=a.data.dtype)), (a,)
-    b = _as_tensor(b)
     _check_same_dtype(op, a, b)
-    lead = a.ndim - b.ndim
-    if b.shape != a.shape and (lead < 0 or any(
-            n not in (1, m) for n, m in zip(b.shape, a.shape[lead:]))):
-        raise ShapeError(f"{op}: shape {b.shape} does not broadcast to {a.shape}")
+    _check_broadcast(op, b.shape, a.shape)
     return b, (a, b)
+
+
+def _check_broadcast(op: str, shape: tuple, target: tuple) -> None:
+    lead = len(target) - len(shape)
+    if shape != target and (lead < 0 or any(
+            n not in (1, m) for n, m in zip(shape, target[lead:]))):
+        raise ShapeError(f"{op}: shape {shape} does not broadcast to {target}")
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -248,7 +237,6 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     """Elementwise ``a + b``; ``b`` may broadcast to ``a``'s shape."""
-    a = _as_tensor(a)
     b, parents = _operand("add", a, b)
 
     def backward(g):
@@ -260,8 +248,6 @@ def add(a, b) -> Tensor:
 
 
 def neg(a) -> Tensor:
-    a = _as_tensor(a)
-
     def backward(g):
         _accum(a, -g)
 
@@ -270,7 +256,6 @@ def neg(a) -> Tensor:
 
 def mul(a, b) -> Tensor:
     """Elementwise ``a * b``; ``b`` may broadcast to ``a``'s shape."""
-    a = _as_tensor(a)
     b, parents = _operand("mul", a, b)
 
     def backward(g):
@@ -284,7 +269,6 @@ def mul(a, b) -> Tensor:
 
 def broadcast_to(a, shape) -> Tensor:
     """``a`` expanded to ``shape`` by numpy broadcasting (a read-only view)."""
-    a = _as_tensor(a)
     shape = tuple(shape)
     try:
         data = np.broadcast_to(a.data, shape)
@@ -303,7 +287,6 @@ def matmul(a, b) -> Tensor:
     Either both operands share identical leading dims, or ``b`` is a 2-D
     weight applied to the trailing axis of a (possibly batched) ``a``.
     """
-    a, b = _as_tensor(a), _as_tensor(b)
     _check_same_dtype("matmul", a, b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul: need >=2-D operands, got {a.shape} @ {b.shape}")
@@ -333,7 +316,7 @@ def matmul(a, b) -> Tensor:
 
 
 def concat(tensors, axis: int) -> Tensor:
-    ts = [_as_tensor(t) for t in tensors]
+    ts = list(tensors)
     if not ts:
         raise ShapeError("concat: empty input list")
     _check_same_dtype("concat", *ts)
@@ -354,7 +337,6 @@ def concat(tensors, axis: int) -> Tensor:
 
 
 def slice_axis(a, axis: int, start: int, stop: int) -> Tensor:
-    a = _as_tensor(a)
     n = a.shape[axis]
     if not (0 <= start <= stop <= n):
         raise ShapeError(f"slice_axis: [{start}:{stop}] out of range for dim {n} (axis {axis})")
@@ -371,7 +353,6 @@ def slice_axis(a, axis: int, start: int, stop: int) -> Tensor:
 
 
 def reshape(a, *shape) -> Tensor:
-    a = _as_tensor(a)
     if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
         shape = tuple(shape[0])
     try:
@@ -386,7 +367,6 @@ def reshape(a, *shape) -> Tensor:
 
 
 def transpose(a, axes) -> Tensor:
-    a = _as_tensor(a)
     axes = tuple(axes)
     inv = np.argsort(axes)
 
@@ -400,7 +380,6 @@ def transpose(a, axes) -> Tensor:
 
 
 def tanh(a) -> Tensor:
-    a = _as_tensor(a)
     y = np.tanh(a.data)
 
     def backward(g):
@@ -410,7 +389,6 @@ def tanh(a) -> Tensor:
 
 
 def relu(a) -> Tensor:
-    a = _as_tensor(a)
     y = np.maximum(a.data, 0.0)
 
     def backward(g):
@@ -420,7 +398,6 @@ def relu(a) -> Tensor:
 
 
 def sigmoid(a) -> Tensor:
-    a = _as_tensor(a)
     y = np.where(a.data >= 0, 1.0 / (1.0 + np.exp(-np.abs(a.data))),
                  np.exp(-np.abs(a.data)) / (1.0 + np.exp(-np.abs(a.data))))
     y = y.astype(a.data.dtype)
@@ -433,7 +410,6 @@ def sigmoid(a) -> Tensor:
 
 def softmax(a, axis: int = -1) -> Tensor:
     """Max-subtracted softmax; masked_fill(-1e9) entries get ~0 probability."""
-    a = _as_tensor(a)
     if not np.all(np.isfinite(a.data)):
         raise NumericError("softmax: non-finite input")
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
@@ -449,7 +425,6 @@ def softmax(a, axis: int = -1) -> Tensor:
 
 def log_softmax(a, axis: int = -1) -> Tensor:
     """Fused, stable log-softmax."""
-    a = _as_tensor(a)
     if not np.all(np.isfinite(a.data)):
         raise NumericError("log_softmax: non-finite input")
     m = a.data.max(axis=axis, keepdims=True)
@@ -477,7 +452,6 @@ def _expand_reduced(g: np.ndarray, shape, axis, keepdims) -> np.ndarray:
 
 
 def reduce_sum(a, axis=None, keepdims=False) -> Tensor:
-    a = _as_tensor(a)
     data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(g):
@@ -491,7 +465,6 @@ def reduce_sum(a, axis=None, keepdims=False) -> Tensor:
 
 def embedding_lookup(table, ids) -> Tensor:
     """Rows of ``table`` (V, D) selected by an integer array of any shape."""
-    table = _as_tensor(table)
     ids = np.asarray(ids)
     if not np.issubdtype(ids.dtype, np.integer):
         raise ShapeError(f"embedding_lookup: ids must be integers, got {ids.dtype}")
@@ -512,26 +485,25 @@ def embedding_lookup(table, ids) -> Tensor:
     return _make(data, (table,), "embedding_lookup", backward)
 
 
-def masked_fill(a, mask, value: float) -> Tensor:
-    """Replace entries where mask==1; mask must be {0,1}-valued and non-grad."""
-    a = _as_tensor(a)
-    mask = np.asarray(mask)
-    if mask.shape != a.shape:
-        raise ShapeError(f"masked_fill: mask shape {mask.shape} != data shape {a.shape}")
-    if not np.all((mask == 0) | (mask == 1)):
-        raise ShapeError("masked_fill: mask must be {0,1}-valued")
-    keep = (mask == 0)
-    data = np.where(keep, a.data, a.data.dtype.type(value))
+def masked_fill(a, fill: np.ndarray, value: float) -> Tensor:
+    """``value`` where the bool ``fill`` is True, ``a`` elsewhere.
+
+    ``fill`` broadcasts to ``a``'s shape like ``b`` in ``add``/``mul``; filled
+    entries pass no gradient.
+    """
+    if fill.dtype != bool:
+        raise ShapeError(f"masked_fill: mask must be bool, got {fill.dtype}")
+    _check_broadcast("masked_fill", fill.shape, a.shape)
+    data = np.where(fill, a.data.dtype.type(value), a.data)
 
     def backward(g):
-        _accum(a, g * keep)
+        _accum(a, g * ~fill)
 
     return _make(data, (a,), "masked_fill", backward)
 
 
 def gather_rows(a, ids) -> Tensor:
     """Select per-batch rows: a (B, N, D) gathered with ids (B,) or (B, S)."""
-    a = _as_tensor(a)
     ids = np.asarray(ids)
     if a.ndim != 3:
         raise ShapeError(f"gather_rows: need (B, N, D) input, got {a.shape}")
@@ -557,7 +529,6 @@ def gather_rows(a, ids) -> Tensor:
 
 def gather_last(a, ids) -> Tensor:
     """Pick one entry along the last axis: a (..., V) with ids (...)."""
-    a = _as_tensor(a)
     ids = np.asarray(ids)
     if ids.shape != a.shape[:-1]:
         raise ShapeError(f"gather_last: ids shape {ids.shape} vs data {a.shape}")
@@ -582,7 +553,6 @@ def gather_last(a, ids) -> Tensor:
 
 def conv2d(x, w, stride: int = 1) -> Tensor:
     """Valid 2-D convolution, NHWC layout: x (B,H,W,Cin), w (kh,kw,Cin,Cout)."""
-    x, w = _as_tensor(x), _as_tensor(w)
     _check_same_dtype("conv2d", x, w)
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d: need x (B,H,W,C) and w (kh,kw,Cin,Cout), got {x.shape}, {w.shape}")

@@ -35,8 +35,7 @@ def lstm_cell(x: Tensor, h: Tensor, c: Tensor, wx: Tensor, wh: Tensor, b: Tensor
 class ResidualLSTM:
     """LSTM block whose output adds a linear projection of the block input."""
 
-    def __init__(self, input_dim: int, hidden: int, rng: np.random.Generator, dtype=None):
-        dtype = dtype or T.get_default_dtype()
+    def __init__(self, input_dim: int, hidden: int, rng: np.random.Generator, dtype):
         self.input_dim = input_dim
         self.hidden = hidden
         sx = 1.0 / np.sqrt(input_dim)
@@ -49,10 +48,9 @@ class ResidualLSTM:
     def parameters(self) -> dict[str, Tensor]:
         return {"wx": self.wx, "wh": self.wh, "b": self.b, "w_proj": self.w_proj}
 
-    def initial_state(self, batch: int, dtype=None):
-        dtype = dtype or self.wx.data.dtype
-        z = np.zeros((batch, self.hidden), dtype=dtype)
-        return Tensor(z.copy()), Tensor(z.copy())
+    def initial_state(self, batch: int):
+        z = np.zeros((batch, self.hidden), dtype=self.wx.data.dtype)
+        return Tensor(z), Tensor(z.copy())
 
     def step(self, x: Tensor, state):
         h, c = state

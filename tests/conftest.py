@@ -1,14 +1,11 @@
-import numpy as np
 import pytest
 
 from gridleague import tensor as T
 
 
 @pytest.fixture(autouse=True)
-def _f64_debug_mode():
-    """Tests run in float64 with NaN checks after every forward op."""
-    T.set_default_dtype(np.float64)
+def _debug_mode():
+    """Tests run with NaN checks after every forward op."""
     T.set_debug_checks(True)
     yield
     T.set_debug_checks(False)
-    T.set_default_dtype(np.float64)

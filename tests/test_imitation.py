@@ -7,7 +7,6 @@ import pytest
 from gridleague import tensor as T
 from gridleague.env import constants as C
 from gridleague.imitation import (
-    ABLATION_SIZES,
     BCConfig,
     BCTrainer,
     Window,
@@ -20,13 +19,6 @@ from gridleague.imitation import (
 )
 from gridleague.match import NetAgent, ScriptedAgent, evaluate_match, wilson_interval
 from gridleague.net import NetConfig, ObsBatch, PolicyNet
-
-
-@pytest.fixture(autouse=True)
-def _train_dtype():
-    T.set_default_dtype(np.float32)
-    yield
-    T.set_default_dtype(np.float64)
 
 
 def _tiny_dataset(tmp_path, n=4, tier="full", seed=3):
@@ -58,11 +50,6 @@ def test_winners_tier_keeps_at_most_half(tmp_path):
             assert g["kept_sides"] == []
         else:
             assert g["kept_sides"] == [g["winner"]]
-
-
-def test_ablation_tier_sizes():
-    assert ABLATION_SIZES == {"small": 200, "medium": 800, "large": 4000}
-    assert ABLATION_SIZES["large"] / ABLATION_SIZES["small"] == 20
 
 
 def test_stored_actions_pass_legality(tmp_path):

@@ -24,7 +24,7 @@ def _zero_weights(hidden, input_dim):
 
 def test_zero_weights_zero_state_output_is_residual_projection_only():
     rng = np.random.default_rng(0)
-    block = ResidualLSTM(6, 4, rng)
+    block = ResidualLSTM(6, 4, rng, np.float64)
     block.wx.data[:] = 0
     block.wh.data[:] = 0
     block.b.data[:] = 0
@@ -53,7 +53,7 @@ def test_forget_gate_saturation_passes_cell_state_through():
 
 def test_unrolled_three_steps_gradient_matches_finite_differences():
     rng = np.random.default_rng(2)
-    block = ResidualLSTM(4, 3, rng)
+    block = ResidualLSTM(4, 3, rng, np.float64)
     xs = [Tensor(rng.standard_normal((2, 4))) for _ in range(3)]
     readout = T.param(rng.standard_normal((3, 1)))
 
@@ -118,7 +118,7 @@ def test_truncated_or_corrupt_checkpoint_names_file_and_offset(tmp_path):
 
 def test_state_serialization_roundtrips_bit_exactly(tmp_path):
     rng = np.random.default_rng(4)
-    block = ResidualLSTM(4, 3, rng)
+    block = ResidualLSTM(4, 3, rng, np.float64)
     x = Tensor(rng.standard_normal((1, 4)))
     _, (h, c) = block.step(x, block.initial_state(1))
     save_checkpoint(tmp_path / "s.ckpt", {"h": Tensor(h.data.astype(np.float32)),

@@ -160,7 +160,6 @@ def test_network_reproduces_golden_values():
 
 
 if __name__ == "__main__":
-    T.set_default_dtype(np.float64)
     values = {name: _measure(cfg) for name, cfg in CONFIGS.items()}
     GOLDEN_FILE.write_text(json.dumps(values, indent=1) + "\n")
     print(f"wrote {GOLDEN_FILE}", file=sys.stderr)

@@ -41,9 +41,9 @@ def test_softmax_rows_sum_to_one():
 
 def test_masked_fill_then_softmax_leaks_below_1e30():
     x = Tensor(RNG.standard_normal((4, 6)))
-    mask = np.zeros((4, 6))
-    mask[:, 2] = 1
-    mask[:, 5] = 1
+    mask = np.zeros((4, 6), dtype=bool)
+    mask[:, 2] = True
+    mask[:, 5] = True
     y = T.softmax(T.masked_fill(x, mask, -1e9), axis=-1)
     assert y.data[:, 2].max() < 1e-30
     assert y.data[:, 5].max() < 1e-30
@@ -93,6 +93,18 @@ def test_mask_must_be_binary():
     x = Tensor(np.zeros((2, 2)))
     with pytest.raises(ShapeError):
         T.masked_fill(x, np.full((2, 2), 0.5), -1.0)
+    with pytest.raises(ShapeError, match="bool"):
+        T.masked_fill(x, np.ones((2, 2)), -1.0)      # {0,1}-valued, but float
+    for shape in ((3, 1), (2, 2, 1), (4,)):          # bool, but does not broadcast
+        with pytest.raises(ShapeError, match="masked_fill"):
+            T.masked_fill(x, np.ones(shape, dtype=bool), -1.0)
+
+
+def test_tensor_takes_only_float_ndarrays():
+    for data in (np.arange(3), np.zeros(2, dtype=bool), [0.0, 1.0], 1.0):
+        with pytest.raises(TypeError):
+            Tensor(data)
+    assert Tensor(np.zeros(2, dtype=np.float32)).dtype == np.float32
 
 
 def test_embedding_lookup_forward_and_grad():
@@ -230,7 +242,7 @@ def test_embedding_and_masked_fill_grad():
     rng = np.random.default_rng(15)
     table = T.param(rng.standard_normal((6, 4)))
     ids = rng.integers(0, 6, size=(3, 2))
-    mask = rng.integers(0, 2, size=(3, 2, 4)).astype(float)
+    mask = rng.integers(0, 2, size=(3, 2, 4)).astype(bool)
 
     def f():
         y = T.embedding_lookup(table, ids)
@@ -281,7 +293,7 @@ def test_random_shapes_and_seeds_50_gradient_checks():
         d = int(rng.integers(2, 6))
         x = T.param(rng.standard_normal((b, n, d)))
         w = T.param(rng.standard_normal((d, d)))
-        mask = np.zeros((b, n, d))
+        mask = np.zeros((b, n, d), dtype=bool)
         mask[:, :, 0] = rng.integers(0, 2, size=(b, n))
         rows = Tensor(rng.integers(0, 2, size=(b, n, 1)).astype(float))
 
@@ -324,6 +336,23 @@ def test_broadcast_matches_finite_differences(name, op, a_shape, b_shape):
     assert grad_check(f, [a, b], eps=1e-5) < 1e-6
 
 
+def test_broadcast_mask_fill_matches_finite_differences():
+    """A (B,1,1,N) key mask fills (B,H,Nq,N) scores, as in masked attention."""
+    rng = np.random.default_rng(18)
+    x = T.param(rng.standard_normal((2, 3, 4, 5)))
+    fill = rng.integers(0, 2, size=(2, 1, 1, 5)).astype(bool)
+    fill[:, :, :, 0] = False
+
+    def f():
+        y = T.masked_fill(x, fill, -1e9)
+        assert y.shape == x.shape
+        return T.reduce_sum(T.tanh(T.softmax(y, axis=-1)))
+
+    np.testing.assert_array_equal(T.masked_fill(x, fill, -1e9).data == -1e9,
+                                  np.broadcast_to(fill, x.shape))
+    assert grad_check(f, [x], eps=1e-5) < 1e-6
+
+
 def test_scalar_operand_is_a_constant_not_a_parent():
     x = _p((2, 3))
     for op in (T.add, T.mul):
@@ -349,7 +378,7 @@ def test_broadcast_shape_errors():
 
 # ------------------------------------------------------------------ coverage
 
-HELPERS = {"param", "set_default_dtype", "get_default_dtype", "set_debug_checks"}
+HELPERS = {"param", "set_debug_checks"}
 
 
 def _graph_ops(out: Tensor) -> set[str]:
