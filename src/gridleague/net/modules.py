@@ -1,5 +1,10 @@
-"""Reusable network blocks: projections, masked attention, group transformer,
-attention-based pooling."""
+"""Reusable network blocks: projections, group transformer, attention-based
+pooling.
+
+Every multi-head attention here is one ``T.attention`` op on projected
+queries, keys and values, whose backward replays the primitive steps in
+reverse. A transformer block is four autodiff ops: three projections and the
+attention."""
 
 from __future__ import annotations
 
@@ -55,48 +60,18 @@ class MLP:
         return self.l2(T.relu(self.l1(x)))
 
 
-def split_heads(x: Tensor, heads: int, head_size: int) -> Tensor:
-    """(B, N, H*D) -> (B, H, N, D)."""
-    b, n, _ = x.shape
-    return T.transpose(T.reshape(x, (b, n, heads, head_size)), (0, 2, 1, 3))
-
-
-def merge_heads(x: Tensor) -> Tensor:
-    """(B, H, N, D) -> (B, N, H*D)."""
-    b, h, n, d = x.shape
-    return T.reshape(T.transpose(x, (0, 2, 1, 3)), (b, n, h * d))
-
-
-def masked_attention(q: Tensor, k: Tensor, v: Tensor, key_mask: np.ndarray) -> Tensor:
-    """Multi-head scaled dot-product attention over masked key slots.
-
-    q (B,H,Nq,D), k/v (B,H,Nk,D), key_mask (B,Nk) in {0,1}. Invalid keys get
-    zero attention weight; if a sample has no valid key at all its output is
-    zeroed outright (the explicit empty-group guard).
-    """
-    scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(q.shape[3]))
-    scores = T.masked_fill(scores, (key_mask == 0)[:, None, None, :], -1e9)
-    weights = T.softmax(scores, axis=-1)
-    out = T.matmul(weights, v)
-    has_valid = (key_mask.sum(axis=1) > 0).astype(out.dtype)
-    return T.mul(out, Tensor(has_valid[:, None, None, None]))
-
-
 class AttentionBlock:
     """Projections for one multi-head attention (queries vs one key group)."""
 
-    def __init__(self, store: ParamStore, name: str, d_model: int, heads: int, head_size: int):
-        w = heads * head_size
-        self.heads, self.head_size = heads, head_size
-        self.wq = store.matrix(f"{name}.wq", d_model, w)
-        self.wk = store.matrix(f"{name}.wk", d_model, w)
-        self.wv = store.matrix(f"{name}.wv", d_model, w)
+    def __init__(self, store: ParamStore, name: str, d_model: int, heads: int, width: int):
+        self.heads = heads
+        self.wq = store.matrix(f"{name}.wq", d_model, width)
+        self.wk = store.matrix(f"{name}.wk", d_model, width)
+        self.wv = store.matrix(f"{name}.wv", d_model, width)
 
-    def __call__(self, x_q: Tensor, x_kv: Tensor, key_mask: np.ndarray) -> Tensor:
-        q = split_heads(T.matmul(x_q, self.wq), self.heads, self.head_size)
-        k = split_heads(T.matmul(x_kv, self.wk), self.heads, self.head_size)
-        v = split_heads(T.matmul(x_kv, self.wv), self.heads, self.head_size)
-        return merge_heads(masked_attention(q, k, v, key_mask))
+    def __call__(self, x_q: Tensor, x_kv: Tensor, valid: np.ndarray) -> Tensor:
+        return T.attention(T.matmul(x_q, self.wq), T.matmul(x_kv, self.wk),
+                           T.matmul(x_kv, self.wv), valid, self.heads)
 
 
 class GroupTransformer:
@@ -116,24 +91,25 @@ class GroupTransformer:
                 others = [o for o in range(3) if o != g]
                 blocks = {
                     g: AttentionBlock(store, f"gt.l{layer}.g{g}.self",
-                                      cfg.d_model, cfg.attn_heads, cfg.head_size)
+                                      cfg.d_model, cfg.attn_heads, cfg.attn_width)
                 }
                 for o in others:
                     blocks[o] = AttentionBlock(store, f"gt.l{layer}.g{g}.cross{o}",
-                                               cfg.d_model, cfg.attn_heads, cfg.head_size)
+                                               cfg.d_model, cfg.attn_heads, cfg.attn_width)
                 ffn = MLP(store, f"gt.l{layer}.g{g}.ffn",
                           3 * cfg.attn_width, cfg.ff_width, cfg.d_model)
                 per_group.append((blocks, ffn))
             self.layers.append(per_group)
 
     def __call__(self, feats: list[Tensor], masks: list[np.ndarray]) -> list[Tensor]:
+        valid = [m != 0 for m in masks]
         for per_group in self.layers:
             new_feats = []
             for g, (blocks, ffn) in enumerate(per_group):
-                parts = [blocks[g](feats[g], feats[g], masks[g])]
+                parts = [blocks[g](feats[g], feats[g], valid[g])]
                 for o in range(3):
                     if o != g:
-                        parts.append(blocks[o](feats[g], feats[o], masks[o]))
+                        parts.append(blocks[o](feats[g], feats[o], valid[o]))
                 x = T.add(feats[g], ffn(T.concat(parts, axis=2)))
                 new_feats.append(T.mul(x, Tensor(masks[g][:, :, None].astype(x.dtype))))
             feats = new_feats
@@ -158,15 +134,12 @@ class AttentionPool:
         null = T.broadcast_to(self.null_row, (b, 1, cfg.d_model))
         x = T.concat([feats, null], axis=1)
         # the null key only becomes attendable when every real slot is masked
-        empty = (mask.sum(axis=1) == 0).astype(mask.dtype)
-        full_mask = np.concatenate([mask, empty[:, None]], axis=1)
-
-        k = split_heads(T.matmul(x, self.wk), cfg.attn_heads, cfg.head_size)
-        v = split_heads(T.matmul(x, self.wv), cfg.attn_heads, cfg.head_size)
+        real = mask != 0
+        valid = np.concatenate([real, ~real.any(axis=1, keepdims=True)], axis=1)
         q = T.broadcast_to(self.queries, (b, cfg.pool_queries, cfg.attn_width))
-        q = split_heads(q, cfg.attn_heads, cfg.head_size)
-        pooled = masked_attention(q, k, v, full_mask)      # (B, H, nq, D)
-        return T.reshape(merge_heads(pooled), (b, cfg.pool_queries * cfg.attn_width))
+        pooled = T.attention(q, T.matmul(x, self.wk), T.matmul(x, self.wv), valid,
+                             cfg.attn_heads)
+        return T.reshape(pooled, (b, cfg.pool_queries * cfg.attn_width))
 
 
 def conditioned_concat_scores(query: Tensor, key_proj: Tensor, action_emb: Tensor,

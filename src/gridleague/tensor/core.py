@@ -13,6 +13,11 @@ throughput. Inputs are stated, never converted:
   that broadcasts to its input by the same rule. ``broadcast_to`` states any
   other expansion; all other shape adaptation is explicit
   (reshape/transpose/concat), which keeps every backward rule auditable.
+
+Multi-head attention is one op, ``attention``, because the network runs
+dozens of small attentions per step and is bound by the number of ops. Its
+backward replays, in reverse, the numpy steps of the primitive chain it
+replaces, so its values and gradients equal that chain's bit for bit.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ __all__ = [
     "sigmoid",
     "softmax",
     "log_softmax",
+    "attention",
     "reduce_sum",
     "embedding_lookup",
     "masked_fill",
@@ -200,9 +206,11 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], op: str, backward=None)
 
 
 def _check_same_dtype(op: str, *ts: Tensor) -> None:
-    dts = {t.data.dtype for t in ts}
-    if len(dts) > 1:
-        raise ShapeError(f"{op}: mixed dtypes {sorted(str(d) for d in dts)}; convert explicitly")
+    dt = ts[0].data.dtype
+    for t in ts:
+        if t.data.dtype != dt:
+            dts = sorted({str(t.data.dtype) for t in ts})
+            raise ShapeError(f"{op}: mixed dtypes {dts}; convert explicitly")
 
 
 # -- arithmetic ---------------------------------------------------------------
@@ -324,8 +332,9 @@ def concat(tensors, axis: int) -> Tensor:
         data = np.concatenate([t.data for t in ts], axis=axis)
     except ValueError as e:
         raise ShapeError(f"concat: {e}") from None
-    sizes = [t.shape[axis] for t in ts]
-    offsets = np.cumsum([0] + sizes)
+    offsets = [0]
+    for t in ts:
+        offsets.append(offsets[-1] + t.shape[axis])
 
     def backward(g):
         for t, lo, hi in zip(ts, offsets[:-1], offsets[1:]):
@@ -367,13 +376,15 @@ def reshape(a, *shape) -> Tensor:
 
 
 def transpose(a, axes) -> Tensor:
-    axes = tuple(axes)
-    inv = np.argsort(axes)
+    data = a.data.transpose(axes)
+    inv = [0] * a.ndim
+    for i, ax in enumerate(axes):
+        inv[ax] = i
 
     def backward(g):
         _accum(a, g.transpose(inv))
 
-    return _make(a.data.transpose(axes), (a,), "transpose", backward)
+    return _make(data, (a,), "transpose", backward)
 
 
 # -- pointwise nonlinearities -------------------------------------------------
@@ -438,6 +449,70 @@ def log_softmax(a, axis: int = -1) -> Tensor:
         _accum(a, g - sm * gsum)
 
     return _make(y, (a,), "log_softmax", backward)
+
+
+# -- attention ----------------------------------------------------------------
+
+
+def attention(q, k, v, valid: np.ndarray, heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention over masked keys, as one op.
+
+    q (B, Nq, H*D), k and v (B, Nk, H*D), ``valid`` (B, Nk) bool, True where
+    a key may be attended; returns (B, Nq, H*D). Masked keys get the score
+    -1e9, so their softmax weight underflows to 0, and a row of ``valid`` with
+    no True key gets a zero output (the empty-group guard). The forward runs
+    the numpy steps of the primitive chain (split heads, scale, fill,
+    softmax, weight the values, guard, merge heads) in its order, and the
+    backward replays them in reverse, so values and gradients equal the
+    chain's bit for bit.
+    """
+    _check_same_dtype("attention", q, k, v)
+    if q.ndim != 3 or k.ndim != 3 or k.shape != v.shape or k.shape[0] != q.shape[0] \
+            or k.shape[2] != q.shape[2]:
+        raise ShapeError(f"attention: need q (B,Nq,W) and k, v (B,Nk,W), "
+                         f"got {q.shape}, {k.shape}, {v.shape}")
+    b, nq, w = q.shape
+    nk = k.shape[1]
+    if heads < 1 or w % heads:
+        raise ShapeError(f"attention: {heads} heads do not divide width {w}")
+    if valid.dtype != bool or valid.shape != (b, nk):
+        raise ShapeError(f"attention: mask must be bool {(b, nk)}, "
+                         f"got {valid.dtype} {valid.shape}")
+    d = w // heads
+    dtype = q.data.dtype
+    qh = q.data.reshape(b, nq, heads, d).transpose(0, 2, 1, 3)
+    kh = k.data.reshape(b, nk, heads, d).transpose(0, 2, 1, 3)
+    vh = v.data.reshape(b, nk, heads, d).transpose(0, 2, 1, 3)
+    scale = dtype.type(1.0 / np.sqrt(d))
+    keys = valid[:, None, None, :]
+    scores = np.where(~keys, dtype.type(-1e9), np.matmul(qh, kh.transpose(0, 1, 3, 2)) * scale)
+    if not np.isfinite(scores).all():
+        raise NumericError("attention: non-finite scores")
+    # the row max as a reduction over the leading axis of a transposed copy:
+    # numpy reduces a short last axis row by row, up to 10x slower, and a max
+    # is exact, so the result is the same
+    top = np.ascontiguousarray(scores.reshape(-1, nk).T).max(axis=0)
+    e = np.exp(scores - top.reshape(b, heads, nq, 1))
+    y = e / e.sum(axis=-1, keepdims=True)
+    guard = valid.any(axis=1).astype(dtype)[:, None, None, None]
+    out = np.matmul(y, vh) * guard
+
+    def merge(g, n):        # (B, H, n, D) -> (B, n, H*D)
+        return g.transpose(0, 2, 1, 3).reshape(b, n, w)
+
+    def backward(g):
+        g = g.reshape(b, nq, heads, d).transpose(0, 2, 1, 3) * guard
+        if q.requires_grad or k.requires_grad:
+            gy = np.matmul(g, np.swapaxes(vh, -1, -2))
+            gs = y * (gy - (gy * y).sum(axis=-1, keepdims=True)) * keys * scale
+            if q.requires_grad:
+                _accum(q, merge(np.matmul(gs, kh), nq))
+            if k.requires_grad:
+                _accum(k, merge(np.matmul(np.swapaxes(qh, -1, -2), gs).transpose(0, 1, 3, 2), nk))
+        if v.requires_grad:
+            _accum(v, merge(np.matmul(np.swapaxes(y, -1, -2), g), nk))
+
+    return _make(merge(out, nq), (q, k, v), "attention", backward)
 
 
 # -- reductions ---------------------------------------------------------------

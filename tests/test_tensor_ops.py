@@ -376,6 +376,93 @@ def test_broadcast_shape_errors():
         T.broadcast_to(wide, (3, 3))
 
 
+# ------------------------------------------------------------------ attention
+
+
+def _attention_inputs(rng, dtype, b=3, nq=4, nk=5, heads=2, d=3):
+    """q, k, v leaves, a key mask whose row 1 is all masked, and pool queries."""
+    q, k, v = (T.param(rng.standard_normal((b, n, heads * d)).astype(dtype))
+               for n in (nq, nk, nk))
+    valid = rng.random((b, nk)) < 0.6
+    valid[0, 0], valid[1] = True, False
+    queries = T.param(rng.standard_normal((nq, heads * d)).astype(dtype))
+    return q, k, v, valid, queries
+
+
+def _chain_attention(q, k, v, valid, heads):
+    """The attention as a chain of primitive ops: the reference for the fused op."""
+    b, nq, w = q.shape
+    nk, d = k.shape[1], w // heads
+
+    def split(x, n):
+        return T.transpose(T.reshape(x, (b, n, heads, d)), (0, 2, 1, 3))
+
+    scores = T.mul(T.matmul(split(q, nq), T.transpose(split(k, nk), (0, 1, 3, 2))),
+                   1.0 / np.sqrt(d))
+    weights = T.softmax(T.masked_fill(scores, ~valid[:, None, None, :], -1e9), axis=-1)
+    guard = valid.any(axis=1).astype(q.dtype)[:, None, None, None]
+    out = T.mul(T.matmul(weights, split(v, nk)), Tensor(guard))
+    return T.reshape(T.transpose(out, (0, 2, 1, 3)), (b, nq, w))
+
+
+def test_attention_matches_finite_differences():
+    rng = np.random.default_rng(19)
+    q, k, v, valid, queries = _attention_inputs(rng, np.float64)
+
+    def f():
+        y = T.attention(q, k, v, valid, 2)
+        pooled = T.attention(T.broadcast_to(queries, q.shape), k, v, valid, 2)
+        return T.reduce_sum(T.tanh(T.add(y, pooled)))
+
+    assert grad_check(f, [q, k, v, queries], eps=1e-5) < 1e-6
+
+
+@pytest.mark.parametrize("frozen", ["", "q", "qk", "v"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_attention_is_bitwise_the_primitive_chain(dtype, frozen):
+    """Forward and gradients, also when some inputs need no gradient."""
+    rng = np.random.default_rng(20)
+    q, k, v, valid, queries = _attention_inputs(rng, dtype)
+    q, k, v = (Tensor(x.data) if name in frozen else x for name, x in zip("qkv", (q, k, v)))
+    probe = rng.standard_normal(q.shape).astype(dtype)
+    leaves = [x for x in (q, k, v, queries) if x.requires_grad]
+    grads = []
+    for attend in (T.attention, _chain_attention):
+        for p in leaves:
+            p.grad = None
+        y = attend(q, k, v, valid, 2)
+        pooled = attend(T.broadcast_to(queries, q.shape), k, v, valid, 2)
+        T.reduce_sum(T.mul(T.add(y, pooled), Tensor(probe))).backward()
+        grads.append([y.data, pooled.data] + [p.grad for p in leaves])
+    for fused, chain in zip(*grads):
+        assert fused.dtype == dtype
+        np.testing.assert_array_equal(fused, chain)
+    assert not grads[0][0][1].any()          # the all-masked row is zeroed
+
+
+def test_attention_rejects_nonfinite_input():
+    q, k, v, valid, _ = _attention_inputs(np.random.default_rng(21), np.float64)
+    q.data[0, 0, 0] = np.nan
+    with pytest.raises(NumericError, match="attention"):
+        T.attention(q, k, v, valid, 2)
+
+
+def test_attention_shape_errors():
+    q, k, v, valid, _ = _attention_inputs(np.random.default_rng(22), np.float64)
+    narrow = Tensor(k.data[:, :, :4])
+    cases = [
+        ((q, narrow, narrow, valid, 2), "attention"),          # widths differ
+        ((q, k, Tensor(v.data[:, :4]), valid, 2), "attention"),   # k and v differ
+        ((q, k, v, valid, 4), "heads"),                         # 4 does not divide 6
+        ((q, k, v, valid.astype(np.float64), 2), "bool"),       # non-bool mask
+        ((q, k, v, valid[:, :4], 2), "mask"),                   # wrong mask shape
+        ((q, k, v, valid[:, None], 2), "mask"),
+    ]
+    for args, match in cases:
+        with pytest.raises(ShapeError, match=match):
+            T.attention(*args)
+
+
 # ------------------------------------------------------------------ coverage
 
 HELPERS = {"param", "set_debug_checks"}
