@@ -11,7 +11,7 @@ diversity while keeping each head's modal choice dominant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -98,20 +98,14 @@ class ScriptedPolicy:
             raise ValueError(f"unknown archetype {archetype!r}")
         self.archetype = archetype
         base = _PROFILES[archetype]
-        self.p = _Profile(
-            worker_target=base.worker_target + int(rng.integers(0, 2)),
-            build_sequence=base.build_sequence,
-            army_mix=dict(base.army_mix),
+        # draw order: worker extra (RUSH draws it too, and never takes extra
+        # workers), push size, push step
+        self.p = replace(
+            base,
+            worker_target=base.worker_target + int(rng.integers(0, 2)) * (archetype != "RUSH"),
             push_size=max(1, base.push_size + int(rng.integers(-1, 2))),
             push_step=int(base.push_step * (1.0 + 0.1 * (rng.random() - 0.5))),
-            peace_delay=base.peace_delay,
-            war_delay=base.war_delay,
-            defend_radius=base.defend_radius,
-            tech_worker_gate=base.tech_worker_gate,
-            prefer_worker_targets=base.prefer_worker_targets,
         )
-        if archetype == "RUSH":
-            self.p.worker_target = base.worker_target  # no extra workers, ever
         self.rng = rng
         self.explore = 0.06        # alternative-choice rate per decision
         self._home: tuple[int, int] | None = None
@@ -174,7 +168,7 @@ class ScriptedPolicy:
         if threats and military and mask[C.ATTACK]:
             target = self._nearest_slot(view, 1, threats, home)
             sel = [s for s in military if obs.select_mask[C.ATTACK, s]][: C.MAX_SELECTED]
-            if sel and obs.target_mask[C.ATTACK, C.MAX_UNITS + target]:
+            if sel:
                 return StructuredAction(C.ATTACK, delay=self._delay(True), queued=0,
                                         selected_units=sel,
                                         target_unit=C.MAX_UNITS + target)
@@ -185,7 +179,7 @@ class ScriptedPolicy:
         if idle_workers and mask[C.HARVEST] and view.neutral_slots:
             patch = self._nearest_slot(view, 2, view.neutral_slots, home)
             sel = [s for s in idle_workers if obs.select_mask[C.HARVEST, s]][: C.MAX_SELECTED]
-            if sel and obs.target_mask[C.HARVEST, 2 * C.MAX_UNITS + patch]:
+            if sel:
                 return StructuredAction(C.HARVEST, delay=self._delay(False), queued=0,
                                         selected_units=sel,
                                         target_unit=2 * C.MAX_UNITS + patch)
@@ -269,11 +263,10 @@ class ScriptedPolicy:
         workers = [s for s in view.my_of_type(C.WORKER) if obs.select_mask[C.HARVEST, s]]
         if workers and mask[C.HARVEST] and view.neutral_slots:
             patch = int(self.rng.choice(view.neutral_slots))
-            if obs.target_mask[C.HARVEST, 2 * C.MAX_UNITS + patch]:
-                k = min(len(workers), 1 + int(self.rng.integers(0, 3)))
-                choices.append(StructuredAction(
-                    C.HARVEST, delay=int(self.rng.integers(2, 6)), queued=0,
-                    selected_units=workers[:k], target_unit=2 * C.MAX_UNITS + patch))
+            k = min(len(workers), 1 + int(self.rng.integers(0, 3)))
+            choices.append(StructuredAction(
+                C.HARVEST, delay=int(self.rng.integers(2, 6)), queued=0,
+                selected_units=workers[:k], target_unit=2 * C.MAX_UNITS + patch))
         if not choices:
             return None
         return choices[int(self.rng.integers(0, len(choices)))]

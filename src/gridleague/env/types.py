@@ -78,18 +78,6 @@ class StatisticZ:
             if not self.built_units[t]:
                 raise ValueError(f"type {t} in build_order but absent from built_units")
 
-    def to_dict(self) -> dict:
-        return {"build_order": list(self.build_order),
-                "built_units": [bool(b) for b in self.built_units]}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "StatisticZ":
-        return cls(list(d["build_order"]), list(d["built_units"]))
-
-    @classmethod
-    def empty(cls) -> "StatisticZ":
-        return cls([], [False] * C.N_CONSTRUCTIBLE)
-
 
 @dataclass
 class StructuredAction:

@@ -33,7 +33,7 @@ def window_forward(net: PolicyNet, windows: list[Window]):
             obs.append(w.observations[step])
             zs.append(w.z)
             forced.append(w.actions[step])
-    batch = ObsBatch(obs, zs, dtype=net.dtype)
+    batch = ObsBatch(obs, zs)
     h0 = np.stack([w.h0 if w.h0 is not None else
                    np.zeros(net.cfg.lstm_width, dtype=net.dtype) for w in windows])
     c0 = np.stack([w.c0 if w.c0 is not None else

@@ -229,7 +229,7 @@ class WindowLoader:
             with T.no_grad():
                 for i, (tr, n) in enumerate(zip(trajs, lengths)):
                     if n:
-                        batch = ObsBatch(tr.observations[:n], [tr.z] * n, dtype=net.dtype)
+                        batch = ObsBatch(tr.observations[:n], [tr.z] * n)
                         block[:n, i] = net.encode(batch)[0].data
                 _, states = net.recur(T.Tensor(block.reshape(t * b, -1)), b, t, starts[0])
             starts += [(h.data, c.data) for h, c in states]

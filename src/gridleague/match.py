@@ -15,7 +15,7 @@ import numpy as np
 
 from . import tensor as T
 from .env import Game, ScriptedPolicy, constants as C
-from .env.types import StatisticZ, StructuredAction
+from .env.types import StructuredAction
 from .net import ObsBatch, PolicyNet
 from .net.policy import N_DECISION_DRAWS
 
@@ -25,36 +25,22 @@ def side_rng(game_seed: int, side: int, salt: int = 0) -> np.random.Generator:
 
 
 class NetAgent:
-    """A policy network plus its sampling/z configuration, shared across games."""
+    """A network and its decode mode, shared across games; it plays unconditioned (zero z)."""
 
-    def __init__(self, net: PolicyNet, mode: str = "sample",
-                 z_pool: list[StatisticZ] | None = None,
-                 fixed_z: StatisticZ | None = None, name: str = "net"):
+    def __init__(self, net: PolicyNet, mode: str = "sample"):
         self.net = net
         self.mode = mode
-        self.z_pool = z_pool
-        self.fixed_z = fixed_z
-        self.name = name
-
-    def pick_z(self, rng: np.random.Generator) -> StatisticZ | None:
-        if self.fixed_z is not None:
-            return self.fixed_z
-        if self.z_pool:
-            return self.z_pool[int(rng.integers(0, len(self.z_pool)))]
-        return None
 
 
 class ScriptedAgent:
     def __init__(self, archetype: str):
         self.archetype = archetype
-        self.name = archetype
 
 
 @dataclass
 class _SideState:
     agent: object
     rng: np.random.Generator
-    z: StatisticZ | None = None
     scripted: ScriptedPolicy | None = None
     h: np.ndarray | None = None
     c: np.ndarray | None = None
@@ -96,14 +82,16 @@ class _LiveMatch:
             if isinstance(agent, ScriptedAgent):
                 st.scripted = ScriptedPolicy(agent.archetype, st.rng)
             else:
-                st.z = agent.pick_z(st.rng)
                 h, c = agent.net.initial_state(1)
                 st.h, st.c = h[0], c[0]
             self.sides.append(st)
 
 
 def run_matches(jobs: list[MatchJob], parallel: int = 32) -> list[MatchResult]:
-    """Play every job to completion; returns results in job order."""
+    """Play every job to completion, at most ``parallel`` at a time; returns
+    results in job order."""
+    if parallel < 1:
+        raise ValueError(f"parallel must be >= 1, got {parallel}")
     results: list[MatchResult | None] = [None] * len(jobs)
     queue = list(enumerate(jobs))
     live: list[tuple[int, _LiveMatch]] = []
@@ -129,8 +117,7 @@ def run_matches(jobs: list[MatchJob], parallel: int = 32) -> list[MatchResult]:
                         (li, side, st, obs))
         for group in net_groups.values():
             agent: NetAgent = group[0][2].agent
-            batch = ObsBatch([g[3] for g in group], [g[2].z for g in group],
-                             dtype=agent.net.dtype)
+            batch = ObsBatch([g[3] for g in group])
             h = np.stack([g[2].h for g in group])
             c = np.stack([g[2].c for g in group])
             # each side consumes its own fixed-size draw, so outcomes do not

@@ -4,9 +4,9 @@ Groups are cropped to the largest valid count in the batch (masks make the
 padded tail inert, so cropping is invisible semantically and buys a large
 speedup at desk scale where most slots are empty).
 
-The legality masks are stacked on first access: only the decoder reads them,
-and a batch that is only encoded (the BC loader's per-trajectory batches,
-up to MAX_STEPS rows) never pays for them.
+Arrays keep the observations' dtypes; the network converts each input once.
+Of the per-action legality masks the decoder reads only the rows of the
+actions it chose (``legal_rows``); a batch that is only encoded reads none.
 """
 
 from __future__ import annotations
@@ -36,11 +36,10 @@ def encode_z(z: StatisticZ | None) -> np.ndarray:
 
 
 class ObsBatch:
-    """Stacked observations plus conditioning z, ready for the network."""
+    """Stacked observations plus conditioning z, in the observations' dtypes."""
 
     def __init__(self, observations: list[Observation],
-                 zs: list[StatisticZ | None] | None = None,
-                 dtype=np.float32):
+                 zs: list[StatisticZ | None] | None = None):
         n = len(observations)
         if n == 0:
             raise ValueError("empty observation batch")
@@ -54,16 +53,14 @@ class ObsBatch:
                            for o in observations])
         self.group_n = tuple(max(1, int(counts[:, g].max())) for g in range(3))
 
-        self.scalar = np.stack([
-            np.concatenate([o.scalar.astype(dtype), encode_z(z).astype(dtype)])
-            for o, z in zip(observations, zs)
-        ])
-        self.spatial = np.stack([o.spatial for o in observations]).astype(dtype)
+        self.scalar = np.stack([np.concatenate([o.scalar, encode_z(z)])
+                                for o, z in zip(observations, zs)])
+        self.spatial = np.stack([o.spatial for o in observations])
         self.unit_type = [np.stack([o.unit_type[g, : self.group_n[g]] for o in observations])
                           for g in range(3)]
-        self.unit_cont = [np.stack([o.unit_cont[g, : self.group_n[g]] for o in observations]).astype(dtype)
+        self.unit_cont = [np.stack([o.unit_cont[g, : self.group_n[g]] for o in observations])
                           for g in range(3)]
-        self.unit_mask = [np.stack([o.unit_mask[g, : self.group_n[g]] for o in observations]).astype(dtype)
+        self.unit_mask = [np.stack([o.unit_mask[g, : self.group_n[g]] for o in observations])
                           for g in range(3)]
 
     @cached_property
@@ -71,22 +68,17 @@ class ObsBatch:
         return np.stack([o.action_mask for o in self._observations])
 
     @cached_property
-    def select_mask(self) -> np.ndarray:
-        return np.stack([o.select_mask[:, : self.group_n[0]] for o in self._observations])
-
-    @cached_property
     def target_slots(self) -> np.ndarray:
         """The global slot of each local target index, groups in order."""
         return np.concatenate([g * C.MAX_UNITS + np.arange(n) for g, n in enumerate(self.group_n)])
 
-    @cached_property
-    def target_mask(self) -> np.ndarray:
-        """(B, A, n0+n1+n2): every group's cropped target slots, side by side."""
-        return np.stack([o.target_mask for o in self._observations])[:, :, self.target_slots]
-
-    @cached_property
-    def position_mask(self) -> np.ndarray:
-        return np.stack([o.position_mask for o in self._observations])
+    def legal_rows(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each row's select (B, n0), target (B, n0+n1+n2) and position (B, G*G)
+        mask for its action ``ids[i]``, cropped like the unit groups."""
+        rows = list(zip(self._observations, ids.tolist()))
+        return (np.stack([o.select_mask[a, : self.group_n[0]] for o, a in rows]),
+                np.stack([o.target_mask[a] for o, a in rows])[:, self.target_slots],
+                np.stack([o.position_mask[a] for o, a in rows]))
 
     def local_to_global_target(self, local: int) -> int:
         return int(self.target_slots[local])

@@ -102,6 +102,7 @@ class GroupTransformer:
             self.layers.append(per_group)
 
     def __call__(self, feats: list[Tensor], masks: list[np.ndarray]) -> list[Tensor]:
+        """``masks``: one (B, n_g) {0, 1} array per group, in the features' dtype."""
         valid = [m != 0 for m in masks]
         for per_group in self.layers:
             new_feats = []
@@ -111,7 +112,7 @@ class GroupTransformer:
                     if o != g:
                         parts.append(blocks[o](feats[g], feats[o], valid[o]))
                 x = T.add(feats[g], ffn(T.concat(parts, axis=2)))
-                new_feats.append(T.mul(x, Tensor(masks[g][:, :, None].astype(x.dtype))))
+                new_feats.append(T.mul(x, Tensor(masks[g][:, :, None])))
             feats = new_feats
         return feats
 
@@ -143,16 +144,15 @@ class AttentionPool:
 
 
 def conditioned_concat_scores(query: Tensor, key_proj: Tensor, action_emb: Tensor,
-                              w_query: Tensor, key_mask: np.ndarray) -> Tensor:
-    """score_i = e_a . tanh(W [q; u_i]) with masked keys pushed to -1e9.
+                              w_query: Tensor) -> Tensor:
+    """score_i = e_a . tanh(W [q; u_i]), unmasked; the caller masks the keys.
 
     W ((D+K), E) is split by rows into a query half W_q (D, E) and a key half
     W_k (K, E), so W [q; u_i] = q W_q + u_i W_k. The caller projects the keys
     once per decode, key_proj = keys @ W_k (B, N, E), and passes W_q; each call
     projects only its query, broadcast over the N keys. query (B, D),
-    action_emb (B, E), key_mask (B, N) bool, True where a key may be chosen.
+    action_emb (B, E).
     """
     b, _, e = key_proj.shape
     hidden = T.tanh(T.add(key_proj, T.reshape(T.matmul(query, w_query), (b, 1, e))))
-    scores = T.reduce_sum(T.mul(hidden, T.reshape(action_emb, (b, 1, e))), axis=2)
-    return T.masked_fill(scores, ~key_mask, -1e9)
+    return T.reduce_sum(T.mul(hidden, T.reshape(action_emb, (b, 1, e))), axis=2)

@@ -154,26 +154,27 @@ class PolicyNet:
         if scalar.shape[-1] != self.cfg.scalar_dim:
             raise T.ShapeError(f"encode_scalar: expected width {self.cfg.scalar_dim}, "
                                f"got {scalar.shape[-1]}")
-        return self.scalar_enc(Tensor(scalar.astype(self.dtype)))
+        return self.scalar_enc(Tensor(scalar.astype(self.dtype, copy=False)))
 
     def encode_spatial(self, spatial: np.ndarray) -> tuple[Tensor, Tensor]:
         """Returns (encoded vector, flattened conv skip features)."""
-        x = Tensor(spatial.astype(self.dtype))
+        x = Tensor(spatial.astype(self.dtype, copy=False))
         h = T.relu(T.add(T.conv2d(x, self.conv1_w, stride=2), self.conv1_b))
         h = T.relu(T.add(T.conv2d(h, self.conv2_w, stride=2), self.conv2_b))
         skip = T.reshape(h, (spatial.shape[0], self.cfg.spatial_skip_dim))
         return self.spatial_lin(skip), skip
 
     def encode_units(self, batch: ObsBatch) -> tuple[list[Tensor], list[np.ndarray]]:
+        masks = [m.astype(self.dtype, copy=False) for m in batch.unit_mask]
         feats = []
         for g in range(3):
             te = T.embedding_lookup(self.type_table, batch.unit_type[g])
             oe = T.embedding_lookup(self.owner_table,
                                     np.full_like(batch.unit_type[g], g))
-            cont = Tensor(batch.unit_cont[g].astype(self.dtype))
+            cont = Tensor(batch.unit_cont[g].astype(self.dtype, copy=False))
             x = T.relu(self.unit_lin(T.concat([te, oe, cont], axis=2)))
             feats.append(x)
-        return self.transformer(feats, batch.unit_mask), batch.unit_mask
+        return self.transformer(feats, masks), masks
 
     def encode(self, batch: ObsBatch):
         scalar_vec = self.encode_scalar(batch.scalar)
@@ -240,6 +241,7 @@ class PolicyNet:
         # selected action
         ids, lp_action = choose("action", self.action_head(core_out), batch.action_mask,
                                 teacher_ids(lambda i, a: a.action_id), 0, None)
+        sel_allowed, tmask, pmask = batch.legal_rows(ids)
         e_a = T.embedding_lookup(self.action_emb, ids)
         cond = T.concat([core_out, e_a], axis=1)
         head_lp: dict[str, Tensor] = {"action": lp_action}
@@ -261,7 +263,6 @@ class PolicyNet:
         su_wq, su_wk = T.slice_axis(self.su_w, 0, 0, d), T.slice_axis(self.su_w, 0, d, 2 * d)
         su_keys = T.matmul(T.concat([my_feats, stop_key], axis=1), su_wk)   # (N, n0+1, e)
         used_su = _USAGE[C.HEAD_SELECTED_UNITS][ids]
-        sel_allowed = batch.select_mask[np.arange(n), ids]  # (N, n0)
         active = used_su
         chosen = np.zeros((n, n0), dtype=bool)
         selections: list[list[int]] = [[] for _ in range(n)]
@@ -280,10 +281,10 @@ class PolicyNet:
             unit_mask = sel_allowed & ~chosen & active[:, None]
             stop_mask = ((s > 0) & active) | ~active
             key_mask = np.concatenate([unit_mask, stop_mask[:, None]], axis=1)
-            scores = conditioned_concat_scores(q, su_keys, e_a, su_wq, key_mask)
+            scores = conditioned_concat_scores(q, su_keys, e_a, su_wq)
             forced_s = teacher_ids(lambda i, a: a.selected_units[s]
                                    if used_su[i] and s < len(a.selected_units) else n0)
-            choice, lp = choose("selected_units", scores, None, forced_s, 3 + s, active)
+            choice, lp = choose("selected_units", scores, key_mask, forced_s, 3 + s, active)
             lp_su = T.add(lp_su, lp)
             picked_unit = active & (choice < n0)
             emb = T.gather_rows(my_feats, np.minimum(choice, n0 - 1))
@@ -301,18 +302,16 @@ class PolicyNet:
         tu_wq, tu_wk = T.slice_axis(self.tu_w, 0, 0, d), T.slice_axis(self.tu_w, 0, d, 2 * d)
         tu_keys = T.matmul(T.concat(group_feats, axis=1), tu_wk)
         used_tu = _USAGE[C.HEAD_TARGET_UNIT][ids]
-        tmask = batch.target_mask[np.arange(n), ids]
         tmask[~used_tu, 0] = True   # keep softmax well-posed on unused rows
         q_t = T.relu(self.tu_query(cond_sel))
-        scores_t = conditioned_concat_scores(q_t, tu_keys, e_a, tu_wq, tmask)
+        scores_t = conditioned_concat_scores(q_t, tu_keys, e_a, tu_wq)
         forced_t = teacher_ids(lambda i, a: batch.global_to_local_target(a.target_unit)
                                if used_tu[i] and a.target_unit is not None else 0)
         tu_ids, head_lp["target_unit"] = choose(
-            "target_unit", scores_t, None, forced_t, 3 + cfg.max_select, used_tu)
+            "target_unit", scores_t, tmask, forced_t, 3 + cfg.max_select, used_tu)
 
         # target position over the grid, conditioned on conv skip features
         used_p = _USAGE[C.HEAD_TARGET_POSITION][ids]
-        pmask = batch.position_mask[np.arange(n), ids]
         pmask[~used_p, 0] = True
         forced_p = teacher_ids(lambda i, a: a.target_position
                                if used_p[i] and a.target_position is not None else 0)

@@ -409,9 +409,8 @@ def relu(a) -> Tensor:
 
 
 def sigmoid(a) -> Tensor:
-    y = np.where(a.data >= 0, 1.0 / (1.0 + np.exp(-np.abs(a.data))),
-                 np.exp(-np.abs(a.data)) / (1.0 + np.exp(-np.abs(a.data))))
-    y = y.astype(a.data.dtype)
+    e = np.exp(-np.abs(a.data))   # never overflows: 1/(1+e) for x >= 0, e/(1+e) below
+    y = np.where(a.data >= 0, 1.0, e) / (1.0 + e)
 
     def backward(g):
         _accum(a, g * y * (1.0 - y))

@@ -142,7 +142,7 @@ def test_teacher_forcing_consistency_unroll_vs_stepwise(tmp_path):
     state = net.initial_state(1)
     acc = 0.0
     for i in range(n):
-        batch = ObsBatch([traj.observations[i]], [traj.z], dtype=net.dtype)
+        batch = ObsBatch([traj.observations[i]], [traj.z])
         with T.no_grad():
             out = net.step(batch, state, mode="teacher", forced=[traj.actions[i]])
         acc += float(out.joint_logprob.data[0])

@@ -5,10 +5,11 @@ import hashlib
 import json
 
 import numpy as np
+import pytest
 from _helpers import TINY_NET
 
 from gridleague import match
-from gridleague.match import MatchJob, NetAgent, ScriptedAgent, run_matches
+from gridleague.match import MatchJob, NetAgent, ScriptedAgent, evaluate_match, run_matches
 from gridleague.net import PolicyNet
 
 
@@ -59,3 +60,13 @@ def test_argmax_sides_draw_nothing_and_ignore_their_rng(monkeypatch):
         return hashes
 
     assert play(0) == play(1)
+
+
+@pytest.mark.parametrize("parallel", [0, -1])
+def test_parallel_below_one_is_refused(parallel):
+    """A runner that may hold no game at a time would loop forever."""
+    rush, econ = ScriptedAgent("RUSH"), ScriptedAgent("ECON")
+    with pytest.raises(ValueError, match="parallel must be >= 1"):
+        run_matches([MatchJob(1, "triton_toy", (rush, econ), max_steps=5)], parallel=parallel)
+    with pytest.raises(ValueError, match="parallel must be >= 1"):
+        evaluate_match(rush, econ, n_games=2, parallel=parallel, max_steps=5)

@@ -122,7 +122,7 @@ def _measure(cfg: NetConfig) -> dict:
             grads[name] = math.fsum((p.grad * probe).ravel().tolist())
 
     obs = [o for w in windows for o in w.observations]
-    batch = ObsBatch(obs, [w.z for w in windows for _ in w.observations], dtype=np.float64)
+    batch = ObsBatch(obs, [w.z for w in windows for _ in w.observations])
     rng = np.random.default_rng(31)
     state = tuple(0.5 * rng.standard_normal((len(obs), cfg.lstm_width)) for _ in range(2))
     uniforms = rng.random((len(obs), N_DECISION_DRAWS))

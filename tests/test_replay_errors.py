@@ -4,10 +4,11 @@ import json
 
 import pytest
 
+from gridleague.env import constants as C
 from gridleague.env.replay import ReplayError, read_replay, write_replay
 from gridleague.env.script import play_scripted_match
 from gridleague.imitation import WindowLoader, generate_dataset
-from gridleague.imitation.dataset import load_index
+from gridleague.imitation.dataset import load_index, load_trajectory
 
 
 @pytest.fixture
@@ -93,3 +94,53 @@ def test_malformed_index_entry_names_path_and_entry(tmp_path, games, problem):
         with pytest.raises(ValueError, match=f"index.json: {where}{problem}") as info:
             load(tmp_path)
         assert type(info.value) is ValueError
+
+
+def _action(e) -> dict:
+    return e["payload"]["action"]
+
+
+# (line to edit: "header" or the first event of this kind, edit, message)
+BAD_REPLAYS = {
+    "header_no_seed": ("header", lambda h: h.pop("seed"), "header 'seed' is not an int"),
+    "header_str_max_steps": ("header", lambda h: h.update(max_steps="60"), "header 'max_steps'"),
+    "header_float_end_step": ("header", lambda h: h.update(end_step=float(h["end_step"])),
+                              "header 'end_step'"),
+    "header_unknown_map": ("header", lambda h: h.update(variant="atlantis"),
+                           "header 'variant' 'atlantis' is not a known map"),
+    "no_payload": ("action", lambda e: e.pop("payload"), "action event 'payload' is not an object"),
+    "no_action": ("action", lambda e: e["payload"].pop("action"), "no 'action' object"),
+    "str_action_id": ("action", lambda e: _action(e).update(action_id="x"), "'action_id' is 'x'"),
+    "player_9": ("action", lambda e: e.update(player=9), "'player' 9 is not a player"),
+    "neutral_actor": ("action", lambda e: e.update(player=-1), "'player' -1 is not a player"),
+    "int_selected_units": ("action", lambda e: _action(e).update(selected_units=5),
+                           "'selected_units' is not a list of ints"),
+    "null_delay": ("action", lambda e: _action(e).update(delay=None), "'delay' is None"),
+    "str_target_unit": ("action", lambda e: _action(e).update(target_unit="x"),
+                        "'target_unit' is 'x'"),
+    "str_step": ("action", lambda e: e.update(step="0"), "'step' '0' is not an int >= 0"),
+    "int_kind": ("action", lambda e: e.update(kind=5), "'kind' 5 is not a string"),
+    "negative_step": ("deposit", lambda e: e.update(step=-1), "'step' -1 is not an int >= 0"),
+    "construct_mineral": ("construct", lambda e: e["payload"].update(type=C.MINERAL),
+                          "construct 'type' 7 is not a constructible type"),
+    "construct_str_type": ("construct", lambda e: e["payload"].update(type="0"),
+                           "construct 'type' '0'"),
+    "list_payload": ("end", lambda e: e.update(payload=[]), "end event 'payload' is not an object"),
+    "player_2": ("end", lambda e: e.update(player=2), "'player' 2 is not a player"),
+}
+
+
+@pytest.mark.parametrize("where,edit,message", BAD_REPLAYS.values(), ids=BAD_REPLAYS.keys())
+def test_malformed_replay_names_file_and_line(tmp_path, where, edit, message):
+    path = tmp_path / "game.jsonl"
+    write_replay(path, play_scripted_match("RUSH", "ECON", 3, max_steps=60))
+    lines = path.read_text().splitlines()
+    k = 0 if where == "header" else next(
+        i for i, ln in enumerate(lines) if i and json.loads(ln)["kind"] == where)
+    obj = json.loads(lines[k])
+    edit(obj)
+    lines[k] = json.dumps(obj)
+    path.write_text("\n".join(lines) + "\n")
+    entry = {"file": path.name, "archetypes": ["RUSH", "ECON"]}
+    with pytest.raises(ReplayError, match=f"{path}: line {k + 1}: .*{message}"):
+        load_trajectory(tmp_path, entry, side=0)

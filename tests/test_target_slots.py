@@ -28,3 +28,37 @@ def test_local_and_global_target_slots_round_trip(counts):
     local = [batch.global_to_local_target(slot) for slot in valid]
     assert local == list(range(sum(batch.group_n)))
     assert [batch.local_to_global_target(i) for i in local] == valid
+
+
+def _with_random_masks(counts, rng):
+    """OBS with the first ``counts[g]`` slots of group g valid, and random
+    legality masks that allow only valid slots."""
+    mask = (np.arange(C.MAX_UNITS) < np.array(counts)[:, None]).astype(OBS.unit_mask.dtype)
+    valid = mask.reshape(-1) > 0
+    return dataclasses.replace(
+        OBS, unit_mask=mask,
+        select_mask=(rng.random(OBS.select_mask.shape) < 0.5) & valid[: C.MAX_UNITS],
+        target_mask=(rng.random(OBS.target_mask.shape) < 0.5) & valid,
+        position_mask=rng.random(OBS.position_mask.shape) < 0.5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(*[st.integers(0, C.MAX_UNITS)] * 3), min_size=1, max_size=4),
+       st.integers(0, 2**32 - 1))
+def test_legal_rows_are_the_chosen_actions_masks_cropped(counts, seed):
+    """``legal_rows`` gives each row its action's masks, cropped like the groups."""
+    rng = np.random.default_rng(seed)
+    observations = [_with_random_masks(c, rng) for c in counts]
+    batch = ObsBatch(observations)
+    ids = rng.integers(0, C.N_ACTIONS, size=len(observations))   # legal or not
+    select, target, position = batch.legal_rows(ids)
+    n0 = batch.group_n[0]
+    assert select.shape == (len(observations), n0)
+    assert target.shape == (len(observations), sum(batch.group_n))
+    for i, (o, a) in enumerate(zip(observations, ids)):
+        np.testing.assert_array_equal(select[i], o.select_mask[a, :n0])
+        expected = np.zeros(sum(batch.group_n), dtype=bool)
+        for slot in np.flatnonzero(o.target_mask[a]):
+            expected[batch.global_to_local_target(slot)] = True
+        np.testing.assert_array_equal(target[i], expected)
+        np.testing.assert_array_equal(position[i], o.position_mask[a])

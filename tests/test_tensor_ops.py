@@ -28,6 +28,19 @@ def test_tanh_at_zero():
     assert x.grad[0, 0] == 1.0
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_is_the_stable_two_branch_formula(dtype):
+    x = np.array([-1e4, -50.0, -1.5, -1e-30, 0.0, 1e-30, 1.5, 50.0, 1e4], dtype=dtype)
+    with np.errstate(over="raise", invalid="raise"):
+        y = T.sigmoid(Tensor(x)).data
+        expected = np.empty_like(x)
+        neg = x < 0
+        expected[neg] = np.exp(x[neg]) / (1.0 + np.exp(x[neg]))
+        expected[~neg] = 1.0 / (1.0 + np.exp(-x[~neg]))
+    assert y.dtype == dtype
+    assert y.tobytes() == expected.tobytes()
+
+
 def test_softmax_symmetry():
     y = T.softmax(Tensor(np.zeros((1, 3))), axis=-1)
     np.testing.assert_allclose(y.data, [[1 / 3, 1 / 3, 1 / 3]])

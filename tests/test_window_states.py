@@ -22,7 +22,7 @@ def _stepwise_states(net, traj, window):
         if t % window == 0:
             starts[t] = (state[0][0].copy(), state[1][0].copy())
         with T.no_grad():
-            out = net.step(ObsBatch([obs], [traj.z], dtype=net.dtype), state,
+            out = net.step(ObsBatch([obs], [traj.z]), state,
                            mode="teacher", forced=[act])
         state = (out.state[0].data, out.state[1].data)
     return starts
