@@ -15,6 +15,7 @@ memory that encoding one trajectory takes.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -127,22 +128,28 @@ class Trajectory:
     side: int
 
 
-def load_trajectory(dataset_dir, entry: dict, side: int) -> Trajectory:
-    """Re-simulate one game and capture the given side's decisions."""
+def load_trajectory(dataset_dir, entry: dict, sides: Sequence[int]) -> list[Trajectory]:
+    """Re-simulate one game once and capture each given side's decisions.
+
+    Returns one Trajectory per side, in the order of ``sides``; the replay is
+    read once and ``rerun`` observes every acting player anyway, so a second
+    side costs only its list appends.
+    """
     header, events = read_replay(Path(dataset_dir) / entry["file"])
-    obs_list: list[Observation] = []
-    act_list: list[StructuredAction] = []
+    captured = {side: ([], []) for side in sides}
 
     def hook(step, player, obs, action):
-        if player == side:
+        if player in captured:
+            obs_list, act_list = captured[player]
             obs_list.append(obs)
             act_list.append(action)
 
     rerun(header, events, on_decision=hook)
-    z = extract_statistic(events, side)
-    return Trajectory(observations=obs_list, actions=act_list, z=z,
-                      archetype=entry["archetypes"][side],
-                      game_file=entry["file"], side=side)
+    return [Trajectory(observations=captured[side][0], actions=captured[side][1],
+                       z=extract_statistic(events, side),
+                       archetype=entry["archetypes"][side],
+                       game_file=entry["file"], side=side)
+            for side in sides]
 
 
 @dataclass
@@ -176,8 +183,9 @@ def cut_windows(traj: Trajectory, window: int) -> list[Window]:
 class WindowLoader:
     """Streams shuffled teacher-forced windows with stored recurrent states.
 
-    Per macro-batch: sample game sides, re-simulate, record the current net's
-    state at every window start, then shuffle windows into training batches.
+    Per macro-batch: sample game sides, re-simulate each sampled game once for
+    all its sampled sides, record the current net's state at every window
+    start, then shuffle windows into training batches.
     States come from encode-once annotation (no grad): each trajectory's
     observations are encoded as one batch, and only the LSTM core recurs over
     the padded time-major block of all trajectories. Encoding one trajectory
@@ -207,10 +215,21 @@ class WindowLoader:
         self.holdout_sides = [s for s in sides if s[0] in hold_games]
 
     def sample_trajectories(self, k: int, sides=None) -> list[Trajectory]:
+        """k picked game sides, re-simulating each picked game once.
+
+        A side picked twice yields the same Trajectory object twice; the
+        result is in pick order.
+        """
         pool = sides if sides is not None else self.train_sides
         picks = [pool[int(self.rng.integers(0, len(pool)))] for _ in range(k)]
-        return [load_trajectory(self.dir, self.index["games"][gi], side)
-                for gi, side in picks]
+        by_game: dict[int, list[int]] = {}
+        for gi, side in dict.fromkeys(picks):
+            by_game.setdefault(gi, []).append(side)
+        loaded = {}
+        for gi, game_sides in by_game.items():
+            for tr in load_trajectory(self.dir, self.index["games"][gi], game_sides):
+                loaded[gi, tr.side] = tr
+        return [loaded[pick] for pick in picks]
 
     def _annotate_states(self, net, trajs: list[Trajectory],
                          windows_per_traj: list[list[Window]]) -> None:

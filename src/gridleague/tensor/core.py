@@ -293,7 +293,11 @@ def matmul(a, b) -> Tensor:
     """Matrix product.
 
     Either both operands share identical leading dims, or ``b`` is a 2-D
-    weight applied to the trailing axis of a (possibly batched) ``a``.
+    weight applied to the trailing axis of a (possibly batched) ``a``. In
+    the weight case the leading dims of ``a`` and of the gradient fold into
+    rows, so the forward and both gradients are each one 2-D GEMM:
+    ``a.reshape(-1, K) @ w`` reshaped back, ``g.reshape(-1, N) @ w.T``
+    reshaped to ``a.shape``, and ``a.reshape(-1, K).T @ g.reshape(-1, N)``.
     """
     _check_same_dtype("matmul", a, b)
     if a.ndim < 2 or b.ndim < 2:
@@ -303,19 +307,17 @@ def matmul(a, b) -> Tensor:
     weight_case = b.ndim == 2 and a.ndim > 2
     if not weight_case and a.shape[:-2] != b.shape[:-2]:
         raise ShapeError(f"matmul: leading dims differ, {a.shape} @ {b.shape}")
-    data = np.matmul(a.data, b.data)
+    k, n = b.shape[-2:]
+    a_rows = a.data.reshape(-1, k) if weight_case else a.data
+    data = np.matmul(a_rows, b.data).reshape(*a.shape[:-1], n)
 
     def backward(g):
-        if a.requires_grad:
-            _accum(a, np.matmul(g, np.swapaxes(b.data, -1, -2)))
-        if not b.requires_grad:
-            return
         if weight_case:
-            k = a.shape[-1]
-            n = b.shape[-1]
-            _accum(b, np.matmul(a.data.reshape(-1, k).T, g.reshape(-1, n)))
-        else:
-            _accum(b, np.matmul(np.swapaxes(a.data, -1, -2), g))
+            g = g.reshape(-1, n)
+        if a.requires_grad:
+            _accum(a, np.matmul(g, np.swapaxes(b.data, -1, -2)).reshape(a.shape))
+        if b.requires_grad:
+            _accum(b, np.matmul(np.swapaxes(a_rows, -1, -2), g))
 
     return _make(data, (a, b), "matmul", backward)
 

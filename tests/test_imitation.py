@@ -1,3 +1,5 @@
+import collections
+import dataclasses
 import json
 from pathlib import Path
 
@@ -13,11 +15,12 @@ from gridleague.imitation import (
     WindowLoader,
     bc_loss,
     cut_windows,
+    dataset,
     generate_dataset,
     load_trajectory,
     window_forward,
 )
-from gridleague.match import NetAgent, ScriptedAgent, evaluate_match, wilson_interval
+from gridleague.match import ScriptedAgent, evaluate_match, wilson_interval
 from gridleague.net import NetConfig, ObsBatch, PolicyNet
 
 
@@ -56,7 +59,7 @@ def test_stored_actions_pass_legality(tmp_path):
     d = _tiny_dataset(tmp_path, n=2)
     idx = json.loads((d / "index.json").read_text())
     for entry in idx["games"]:
-        traj = load_trajectory(d, entry, side=0)
+        traj = load_trajectory(d, entry, (0,))[0]
         assert len(traj.observations) == len(traj.actions) > 0
         # replays regenerate with no illegal-action events (checked in rerun)
         from gridleague.env.replay import read_replay
@@ -67,7 +70,7 @@ def test_stored_actions_pass_legality(tmp_path):
 def test_zero_weight_network_uniform_head_loss_is_log_v(tmp_path):
     d = _tiny_dataset(tmp_path, n=2)
     idx = json.loads((d / "index.json").read_text())
-    traj = load_trajectory(d, idx["games"][0], side=0)
+    traj = load_trajectory(d, idx["games"][0], (0,))[0]
     windows = cut_windows(traj, 16)[:2]
     net = PolicyNet(NetConfig(), np.random.default_rng(0))
     for p in net.parameters().values():
@@ -80,7 +83,7 @@ def test_zero_weight_network_uniform_head_loss_is_log_v(tmp_path):
 def test_per_head_ce_is_the_mean_over_rows_that_use_the_head(tmp_path):
     d = _tiny_dataset(tmp_path, n=1)
     idx = json.loads((d / "index.json").read_text())
-    traj = load_trajectory(d, idx["games"][0], side=0)
+    traj = load_trajectory(d, idx["games"][0], (0,))[0]
     windows = cut_windows(traj, 16)[:2]
     net = PolicyNet(NetConfig(), np.random.default_rng(6))
     _, _, per_head, _ = bc_loss(net, windows)
@@ -99,7 +102,7 @@ def test_per_head_ce_is_the_mean_over_rows_that_use_the_head(tmp_path):
 def test_bc_loss_decreases_on_identical_pairs(tmp_path):
     d = _tiny_dataset(tmp_path, n=1)
     idx = json.loads((d / "index.json").read_text())
-    traj = load_trajectory(d, idx["games"][0], side=0)
+    traj = load_trajectory(d, idx["games"][0], (0,))[0]
     # a batch of identical (obs, action) pairs; pick a decision that uses
     # several heads so the loss cannot saturate within 100 steps
     k = next(i for i, a in enumerate(traj.actions) if len(a.selected_units) >= 2)
@@ -118,7 +121,7 @@ def test_bc_loss_decreases_on_identical_pairs(tmp_path):
 def test_finetune_lr_zero_leaves_parameters_bitwise(tmp_path):
     d = _tiny_dataset(tmp_path, n=1)
     idx = json.loads((d / "index.json").read_text())
-    traj = load_trajectory(d, idx["games"][0], side=0)
+    traj = load_trajectory(d, idx["games"][0], (0,))[0]
     windows = cut_windows(traj, 16)[:2]
     net = PolicyNet(NetConfig(), np.random.default_rng(2))
     before = {k: p.data.tobytes() for k, p in net.parameters().items()}
@@ -132,7 +135,7 @@ def test_teacher_forcing_consistency_unroll_vs_stepwise(tmp_path):
     """BC loss (sum form) equals -sum of decode step logprobs within 1e-6."""
     d = _tiny_dataset(tmp_path, n=1)
     idx = json.loads((d / "index.json").read_text())
-    traj = load_trajectory(d, idx["games"][0], side=0)
+    traj = load_trajectory(d, idx["games"][0], (0,))[0]
     n = min(16, len(traj.observations))
     win = Window(observations=traj.observations[:n], actions=traj.actions[:n],
                  z=traj.z, step_mask=np.ones(n, dtype=np.float32))
@@ -163,6 +166,45 @@ def test_window_loader_splits_and_batches(tmp_path):
     assert all(len(b) == 4 for b in batches)
     w = batches[0][0]
     assert w.h0 is not None and w.h0.shape == (net.cfg.lstm_width,)
+
+
+def test_both_sides_from_one_resimulation_equal_single_side_loads(tmp_path):
+    d = _tiny_dataset(tmp_path, n=1)
+    entry = json.loads((d / "index.json").read_text())["games"][0]
+    both = load_trajectory(d, entry, (0, 1))
+    assert [t.side for t in both] == [0, 1]
+    for side, shared in enumerate(both):
+        alone = load_trajectory(d, entry, (side,))[0]
+        assert len(shared.observations) == len(alone.observations) > 0
+        for a, b in zip(shared.observations, alone.observations):
+            for f in dataclasses.fields(a):
+                np.testing.assert_array_equal(getattr(a, f.name), getattr(b, f.name))
+        assert shared.actions == alone.actions
+        assert shared.z == alone.z
+        assert shared.archetype == alone.archetype == entry["archetypes"][side]
+        assert (shared.game_file, shared.side) == (alone.game_file, alone.side)
+
+
+def test_macrobatch_resimulates_each_picked_game_once(tmp_path, monkeypatch):
+    d = _tiny_dataset(tmp_path, n=2)
+    reruns = collections.Counter()
+    rerun = dataset.rerun
+
+    def counting_rerun(header, events, on_decision=None):
+        reruns[header["seed"]] += 1
+        return rerun(header, events, on_decision)
+
+    monkeypatch.setattr(dataset, "rerun", counting_rerun)
+    loader = WindowLoader(d, seed=2, holdout_fraction=0)
+    rng = np.random.default_rng(2)
+    pool = loader.train_sides
+    picks = [pool[int(rng.integers(0, len(pool)))] for _ in range(5)]
+    trajs = loader.sample_trajectories(5)
+    # five picks from two games: some game is picked at least twice
+    games = loader.index["games"]
+    assert [(t.game_file, t.side) for t in trajs] == \
+        [(games[gi]["file"], side) for gi, side in picks]
+    assert reruns == collections.Counter({games[gi]["seed"]: 1 for gi, _ in picks})
 
 
 def test_evaluate_match_self_play_exact_half_and_errors():

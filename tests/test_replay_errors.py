@@ -143,4 +143,4 @@ def test_malformed_replay_names_file_and_line(tmp_path, where, edit, message):
     path.write_text("\n".join(lines) + "\n")
     entry = {"file": path.name, "archetypes": ["RUSH", "ECON"]}
     with pytest.raises(ReplayError, match=f"{path}: line {k + 1}: .*{message}"):
-        load_trajectory(tmp_path, entry, side=0)
+        load_trajectory(tmp_path, entry, (0,))

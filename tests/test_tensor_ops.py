@@ -220,6 +220,31 @@ def test_weight_applied_to_batched_input_grad():
     assert grad_check(f, [a, w], eps=1e-5) < 1e-4
 
 
+def test_weight_applied_to_4d_input_grad():
+    rng = np.random.default_rng(14)
+    a = T.param(rng.standard_normal((2, 3, 2, 4)))
+    w = T.param(rng.standard_normal((4, 5)))
+
+    def f():
+        return T.reduce_sum(T.tanh(T.matmul(a, w)))
+
+    assert grad_check(f, [a, w], eps=1e-5) < 1e-4
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+def test_folded_weight_matmul_matches_unfolded_reference(rows):
+    """The weight case runs one 2-D GEMM; it agrees with the batched product."""
+    rng = np.random.default_rng(15)
+    a = T.param(rng.standard_normal((6, rows, 5)))
+    w = T.param(rng.standard_normal((5, 3)))
+    g = rng.standard_normal((6, rows, 3))
+    out = T.matmul(a, w)
+    out.backward(g)
+    np.testing.assert_allclose(out.data, np.matmul(a.data, w.data), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(a.grad, np.matmul(g, w.data.T), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(w.grad, np.einsum("bnk,bnm->km", a.data, g), rtol=0, atol=1e-12)
+
+
 def test_concat_grad():
     rng = np.random.default_rng(13)
     xs = [T.param(rng.standard_normal((2, d))) for d in (2, 3, 4)]
