@@ -31,6 +31,11 @@ produce.
 A cell set is an int with bit ``x * GRID + y`` set for each cell (x, y) in
 it. A player's vision is the union of its units' ``_square``s, and whether
 an enemy is seen is one bit of it.
+
+``observe`` stores the factors that determine an observation's spatial
+planes and per-action legality masks, not the dense arrays (see
+``Observation``). ``_validate`` and the scripts read the factors, so scripted
+play builds neither.
 """
 
 from __future__ import annotations
@@ -40,7 +45,8 @@ import functools
 import numpy as np
 
 from . import constants as C
-from .types import MatchOutcome, Observation, Order, PlayerState, StructuredAction, Unit
+from .types import (SELECTABLE_BY_TYPE, MatchOutcome, Observation, Order, PlayerState,
+                    StructuredAction, Unit, cell_grid)
 
 
 def cheby(ax, ay, bx, by) -> int:
@@ -68,17 +74,7 @@ def _square(r: int, x: int, y: int) -> int:
     return sum(row << (c * C.GRID) for c in range(x0, x1))
 
 
-def _grid(cells: int) -> np.ndarray:
-    """A cell set as a (GRID, GRID) bool array."""
-    raw = np.frombuffer(cells.to_bytes(C.GRID * C.GRID // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, bitorder="little").view(bool).reshape(C.GRID, C.GRID)
-
-
 _STATIC = frozenset(C.BUILDING_TYPES + (C.MINERAL,))    # never move, block building sites
-
-# _SELECTABLE[action, type]: the pointer head may pick a complete unit of that type
-_SELECTABLE = np.array([[t in C.SELECTABLE.get(a, ()) for t in range(len(C.TYPE_NAMES))]
-                        for a in range(C.N_ACTIONS)], dtype=bool)
 
 
 def _features(u: Unit) -> tuple:
@@ -123,6 +119,7 @@ class Game:
             for y in range(C.GRID):
                 d = min(cheby(x, y, px, py) for px, py in patches)
                 h[x, y] = d / C.GRID
+        h.flags.writeable = False       # every observation of the game shares it
         return h
 
     def _spawn(self, type_id: int, player: int, x: int, y: int, *,
@@ -176,7 +173,7 @@ class Game:
         return seen
 
     def visibility(self, player: int) -> np.ndarray:
-        return _grid(self._seen(player))
+        return cell_grid(self._seen(player))
 
     def _groups(self, player: int, seen: int):
         mine, enemy, neutral = [], [], []
@@ -211,16 +208,12 @@ class Game:
                 unit_mask[g, :k] = 1.0
                 slot_uid[g, :k] = [u.uid for u in shown]
 
-        spatial = np.zeros((C.GRID, C.GRID, C.SPATIAL_CHANNELS), dtype=np.float32)
-        spatial[:, :, 0] = self._height
-        spatial[:, :, 1] = _grid(seen)
-        # neutral < enemy < mine: writing in that order keeps the largest
-        rel = spatial[:, :, 2]
-        for members, value in ((neutral, 0.25), (enemy, 0.5), (mine, 1.0)):
-            for u in members:
-                rel[u.x, u.y] = value
-        free = self._static_free()
-        spatial[:, :, 3] = free
+        # neutral < enemy < mine: a later cell overwrites, so each keeps the largest
+        relation = tuple((u.x, u.y, value)
+                         for members, value in ((neutral, 0.25), (enemy, 0.5), (mine, 1.0))
+                         for u in members)
+        free = self._static_free().reshape(-1)
+        free.flags.writeable = False
 
         ps = self.players[player]
         counts = [0] * C.N_CONSTRUCTIBLE
@@ -245,33 +238,30 @@ class Game:
         ], dtype=np.float32)
 
         obs = Observation(
-            player=player, step=self.step_count, scalar=scalar, spatial=spatial,
+            player=player, step=self.step_count, scalar=scalar,
             unit_type=unit_type, unit_cont=unit_cont,
             unit_mask=unit_mask, slot_uid=slot_uid,
-            **self._legality(player, mine, enemy, neutral, free.reshape(-1),
-                             supply_cap - supply_used),
+            **self._legality(player, mine, enemy, neutral, free, supply_cap - supply_used),
+            height=self._height, seen=seen, relation=relation,
         )
         self._given[player] = obs
         return obs
 
     def _legality(self, player: int, mine, enemy, neutral, free: np.ndarray,
                   supply_room: int) -> dict:
-        """``free`` (flat free-cell grid) and ``supply_room`` come from ``observe``."""
+        """``action_mask`` and the factors of the legality masks (see
+        ``Observation``). ``free`` (flat free-cell grid) and ``supply_room``
+        come from ``observe``."""
         n = C.MAX_UNITS
         minerals = self.players[player].minerals
-        select_mask = np.zeros((C.N_ACTIONS, n), dtype=bool)
-        target_mask = np.zeros((C.N_ACTIONS, 3 * n), dtype=bool)
-        position_mask = np.zeros((C.N_ACTIONS, C.GRID * C.GRID), dtype=bool)
-        slots = mine[:n]
-        complete = [u.complete for u in slots]
-        select_mask[:, :len(slots)] = _SELECTABLE[:, [u.type for u in slots]] & complete
-        has_sel = select_mask.any(axis=1).tolist()
+        complete = tuple(u.complete for u in mine[:n])
+        pickable = {u.type for u, done in zip(mine, complete) if done}
         cap_room = len(mine) < C.MAX_UNITS
         owned_complete = {u.type for u in mine if u.complete}
         any_free = bool(free.any())
 
         # an action needs a unit that may carry it out, and then its own conditions
-        legal = has_sel[:]
+        legal = [not pickable.isdisjoint(C.SELECTABLE.get(a, ())) for a in range(C.N_ACTIONS)]
         legal[C.NOOP] = True
         legal[C.ATTACK] = legal[C.ATTACK] and bool(enemy)
         legal[C.HARVEST] = legal[C.HARVEST] and bool(neutral)
@@ -282,17 +272,8 @@ class Game:
         for a, ttype in C.TRAIN_ACTION_TYPE.items():
             legal[a] = (legal[a] and cap_room and C.SUPPLY_COST[ttype] <= supply_room
                         and minerals >= C.MINERAL_COST[ttype])
-        action_mask = np.array(legal)
-        position_mask[C.MOVE] = True
-        target_mask[C.ATTACK, n:n + len(enemy[:n])] = True
-        target_mask[C.HARVEST, 2 * n:2 * n + len(neutral[:n])] = True
-        position_mask[list(C.BUILD_ACTION_TYPE)] = free
-        illegal = ~action_mask
-        select_mask[illegal] = False
-        target_mask[illegal] = False
-        position_mask[illegal] = False
-        return {"action_mask": action_mask, "select_mask": select_mask,
-                "target_mask": target_mask, "position_mask": position_mask}
+        return {"action_mask": np.array(legal), "complete": complete, "free": free,
+                "n_enemy": len(enemy[:n]), "n_neutral": len(neutral[:n])}
 
     # ------------------------------------------------------------ acting
 
@@ -311,15 +292,22 @@ class Game:
             sel = act.selected_units
             if not sel or len(sel) > C.MAX_SELECTED or len(set(sel)) != len(sel):
                 return False
-            if not all(0 <= s < C.MAX_UNITS and obs.select_mask[a, s] for s in sel):
+            complete, types = obs.complete, obs.unit_type[0]
+            if not all(0 <= s < len(complete) and complete[s] and SELECTABLE_BY_TYPE[a, types[s]]
+                       for s in sel):
                 return False
         if C.HEAD_TARGET_UNIT in used:
+            # ATTACK and HARVEST: a shown enemy or a shown patch
+            group, shown = (1, obs.n_enemy) if a == C.ATTACK else (2, obs.n_neutral)
             t = act.target_unit
-            if t is None or not (0 <= t < 3 * C.MAX_UNITS) or not obs.target_mask[a, t]:
+            if t is None or not (0 <= t - group * C.MAX_UNITS < shown):
                 return False
         if C.HEAD_TARGET_POSITION in used:
+            # MOVE goes anywhere, a building needs a free cell
             pos = act.target_position
-            if pos is None or not (0 <= pos < C.GRID * C.GRID) or not obs.position_mask[a, pos]:
+            if pos is None or not (0 <= pos < C.GRID * C.GRID):
+                return False
+            if not (a == C.MOVE or obs.free[pos]):
                 return False
         return True
 
@@ -638,10 +626,3 @@ class Game:
             }
             self.outcome = MatchOutcome(winner=winner, end_step=self.step_count, stats=stats)
             self._event(-1, "end", {"winner": winner, "step": self.step_count})
-
-    # ------------------------------------------------------------ rewards
-
-    def terminal_rewards(self) -> tuple[float, float]:
-        if not self.done or self.outcome is None:
-            return 0.0, 0.0
-        return self.outcome.reward(0), self.outcome.reward(1)

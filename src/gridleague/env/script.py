@@ -58,21 +58,27 @@ _PROFILES = {
 class _View:
     """Convenience indexing of one observation's my/enemy/neutral groups.
 
-    Types and features are read into Python lists once, up to each group's
-    last valid slot: the scripts look up single slots many times per
-    decision, and a numpy scalar read each time costs more than the
-    conversion.
+    The types and features of each group's shown units, which fill its
+    leading slots, are read into Python lists once: the scripts look up
+    single slots many times per decision, and a numpy scalar read each time
+    costs more than the conversion. Whether an action may pick a unit is
+    read from the observation's legality factors the same way.
     """
 
     def __init__(self, obs: Observation):
+        self.legal = obs.action_mask.tolist()
+        self.complete = obs.complete
         self.types, self.cont, slots = [], [], []
-        for g in range(3):
-            valid = np.flatnonzero(obs.unit_mask[g]).tolist()
-            end = valid[-1] + 1 if valid else 0
-            slots.append(valid)
-            self.types.append(obs.unit_type[g, :end].tolist())
-            self.cont.append(obs.unit_cont[g, :end].tolist())
+        for g, k in enumerate((len(obs.complete), obs.n_enemy, obs.n_neutral)):
+            slots.append(list(range(k)))
+            self.types.append(obs.unit_type[g, :k].tolist())
+            self.cont.append(obs.unit_cont[g, :k].tolist())
         self.my_slots, self.enemy_slots, self.neutral_slots = slots
+
+    def selects(self, action: int, slot: int) -> bool:
+        """``select_mask[action, slot]``: ``action`` may pick my unit in ``slot``."""
+        return (self.legal[action] and self.complete[slot]
+                and self.types[0][slot] in C.SELECTABLE[action])
 
     def my_of_type(self, *types, complete=True):
         mine, cont = self.types[0], self.cont[0]
@@ -118,11 +124,10 @@ class ScriptedPolicy:
     def _nearest_slot(self, view: _View, group: int, slots, ref: tuple[int, int]):
         return min(slots, key=lambda s: (cheby(*view.pos(group, s), *ref), s))
 
-    def _free_cell_near(self, obs: Observation, action: int,
-                        ref: tuple[int, int], min_d=1, max_d=5) -> int | None:
-        legal = obs.position_mask[action]
+    def _free_cell_near(self, obs: Observation, ref: tuple[int, int],
+                        min_d=1, max_d=5) -> int | None:
         candidates = []
-        for cell in np.flatnonzero(legal):
+        for cell in np.flatnonzero(obs.free):
             x, y = divmod(int(cell), C.GRID)
             d = cheby(x, y, ref[0], ref[1])
             if min_d <= d <= max_d:
@@ -167,18 +172,21 @@ class ScriptedPolicy:
                 threats.append(s)
         if threats and military and mask[C.ATTACK]:
             target = self._nearest_slot(view, 1, threats, home)
-            sel = [s for s in military if obs.select_mask[C.ATTACK, s]][: C.MAX_SELECTED]
+            sel = [s for s in military if view.selects(C.ATTACK, s)][: C.MAX_SELECTED]
             if sel:
                 return StructuredAction(C.ATTACK, delay=self._delay(True), queued=0,
                                         selected_units=sel,
                                         target_unit=C.MAX_UNITS + target)
 
         # economy: put idle workers on the nearest patch
-        selectable = obs.select_mask.any(axis=0)
-        idle_workers = [s for s in workers if view.idle(0, s) and selectable[s]]
+        # the unit types some legal action may pick
+        pickable = {t for a, legal in enumerate(view.legal) if legal
+                    for t in C.SELECTABLE.get(a, ())}
+        idle_workers = [s for s in workers if view.idle(0, s) and view.complete[s]
+                        and view.types[0][s] in pickable]
         if idle_workers and mask[C.HARVEST] and view.neutral_slots:
             patch = self._nearest_slot(view, 2, view.neutral_slots, home)
-            sel = [s for s in idle_workers if obs.select_mask[C.HARVEST, s]][: C.MAX_SELECTED]
+            sel = [s for s in idle_workers if view.selects(C.HARVEST, s)][: C.MAX_SELECTED]
             if sel:
                 return StructuredAction(C.HARVEST, delay=self._delay(False), queued=0,
                                         selected_units=sel,
@@ -187,7 +195,7 @@ class ScriptedPolicy:
         # worker production up to target
         if len(workers) < p.worker_target and mask[C.TRAIN_WORKER]:
             producers = [s for s in view.my_of_type(C.BASE)
-                         if obs.select_mask[C.TRAIN_WORKER, s] and view.queue_len(s) < 1]
+                         if view.selects(C.TRAIN_WORKER, s) and view.queue_len(s) < 1]
             if producers:
                 return StructuredAction(C.TRAIN_WORKER, delay=self._delay(False),
                                         queued=1, selected_units=producers[:1])
@@ -203,8 +211,8 @@ class ScriptedPolicy:
             action = _BUILD_ACTION[btype]
             if not mask[action]:
                 break  # wait for resources/tech before later entries
-            builder = [s for s in workers if obs.select_mask[action, s]]
-            cell = self._free_cell_near(obs, action, home, 1, 5)
+            builder = [s for s in workers if view.selects(action, s)]
+            cell = self._free_cell_near(obs, home, 1, 5)
             if builder and cell is not None:
                 return StructuredAction(action, delay=self._delay(False), queued=0,
                                         selected_units=[builder[0]],
@@ -224,7 +232,7 @@ class ScriptedPolicy:
                 best_action, best_deficit = act, deficit
         if best_action is not None:
             producers = [s for s in view.my_slots
-                         if obs.select_mask[best_action, s] and view.queue_len(s) < 2]
+                         if view.selects(best_action, s) and view.queue_len(s) < 2]
             if producers:
                 return StructuredAction(best_action, delay=self._delay(False),
                                         queued=1, selected_units=[producers[0]])
@@ -240,13 +248,13 @@ class ScriptedPolicy:
                     workers_only = [s for s in pool if view.types[1][s] == C.WORKER]
                     pool = workers_only or pool
                 target = self._nearest_slot(view, 1, pool, centroid)
-                sel = [s for s in military if obs.select_mask[C.ATTACK, s]][: C.MAX_SELECTED]
+                sel = [s for s in military if view.selects(C.ATTACK, s)][: C.MAX_SELECTED]
                 if sel:
                     return StructuredAction(C.ATTACK, delay=self._delay(True), queued=0,
                                             selected_units=sel,
                                             target_unit=C.MAX_UNITS + target)
             if mask[C.MOVE]:
-                sel = [s for s in military if obs.select_mask[C.MOVE, s]][: C.MAX_SELECTED]
+                sel = [s for s in military if view.selects(C.MOVE, s)][: C.MAX_SELECTED]
                 idle_mil = [s for s in sel if view.idle(0, s)]
                 if idle_mil:
                     cell = enemy_home[0] * C.GRID + enemy_home[1]
@@ -260,7 +268,7 @@ class ScriptedPolicy:
         choices = []
         if mask[C.NOOP]:
             choices.append(StructuredAction.noop(delay=int(self.rng.integers(1, 6))))
-        workers = [s for s in view.my_of_type(C.WORKER) if obs.select_mask[C.HARVEST, s]]
+        workers = [s for s in view.my_of_type(C.WORKER) if view.selects(C.HARVEST, s)]
         if workers and mask[C.HARVEST] and view.neutral_slots:
             patch = int(self.rng.choice(view.neutral_slots))
             k = min(len(workers), 1 + int(self.rng.integers(0, 3)))

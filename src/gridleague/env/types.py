@@ -3,10 +3,22 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import constants as C
+
+# SELECTABLE_BY_TYPE[action, type]: the pointer head may pick a complete unit of that type
+SELECTABLE_BY_TYPE = np.array([[t in C.SELECTABLE.get(a, ()) for t in range(len(C.TYPE_NAMES))]
+                               for a in range(C.N_ACTIONS)], dtype=bool)
+
+
+def cell_grid(cells: int) -> np.ndarray:
+    """A cell set (an int with bit ``x * GRID + y`` set for each cell (x, y) in
+    it) as a (GRID, GRID) bool array."""
+    raw = np.frombuffer(cells.to_bytes(C.GRID * C.GRID // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, bitorder="little").view(bool).reshape(C.GRID, C.GRID)
 
 
 @dataclass
@@ -55,11 +67,6 @@ class MatchOutcome:
     winner: int | None              # 0, 1, or None for a draw
     end_step: int
     stats: dict
-
-    def reward(self, player: int) -> float:
-        if self.winner is None:
-            return 0.0
-        return 1.0 if self.winner == player else -1.0
 
 
 @dataclass
@@ -118,22 +125,100 @@ class StructuredAction:
 
 @dataclass
 class Observation:
-    """Per-player view: scalars, spatial planes, padded entity groups, masks.
+    """Per-player view: scalars, padded entity groups, and the factors that
+    determine the spatial planes and the legality masks.
 
     Groups are ordered (mine, enemy, neutral), each padded to MAX_UNITS.
     ``slot_uid`` maps observation slots back to engine unit ids (-1 = pad).
-    Legality masks are per-action rows; see the action table for head usage.
+
+    Stored are the arrays read per unit, ``action_mask``, and the few values
+    that fully determine the rest. ``spatial`` and the per-action legality
+    masks ``select_mask``, ``target_mask`` and ``position_mask`` are derived
+    from them on first read and cached; see the action table for head usage.
+    Scripted play and ``Game._validate`` read the factors, so they build
+    neither; the network builds ``spatial`` when it stacks a batch, and only
+    the rows (``select_row``, ``target_row``, ``position_row``) of the actions
+    it chose.
+
+    ``complete`` is stored, not read from ``unit_cont[..., 3]``: build
+    progress rises by 1/BUILD_TIME per step, so a BARRACKS reaches
+    0.9999999999999999, which rounds to 1.0 in float32 while the engine still
+    counts the building as incomplete.
+
+    Every factor is a value captured at ``observe`` (ints, tuples, and arrays
+    that nothing writes afterwards), so a derived array is the same whenever
+    it is first read.
     """
 
     player: int
     step: int
     scalar: np.ndarray              # (SCALAR_FEATS,) f32
-    spatial: np.ndarray             # (G, G, C) f32
     unit_type: np.ndarray           # (3, MAX_UNITS) int32
     unit_cont: np.ndarray           # (3, MAX_UNITS, UNIT_FEATS) f32
     unit_mask: np.ndarray           # (3, MAX_UNITS) f32 {0,1}
     slot_uid: np.ndarray            # (3, MAX_UNITS) int32
     action_mask: np.ndarray         # (N_ACTIONS,) bool
-    select_mask: np.ndarray         # (N_ACTIONS, MAX_UNITS) bool
-    target_mask: np.ndarray         # (N_ACTIONS, 3*MAX_UNITS) bool
-    position_mask: np.ndarray       # (N_ACTIONS, G*G) bool
+    complete: tuple[bool, ...]      # per shown my-slot: the engine counts the unit complete
+    free: np.ndarray                # (G*G,) bool, read-only: no building or patch on the cell
+    n_enemy: int                    # shown enemy slots (the leading slots of group 1)
+    n_neutral: int                  # shown patch slots (the leading slots of group 2)
+    height: np.ndarray              # (G, G) f32, read-only: the map's height plane
+    seen: int                       # the cells in vision, as a cell set
+    relation: tuple[tuple[int, int, float], ...]   # per unit; a later cell overwrites
+
+    def select_row(self, a: int) -> np.ndarray:
+        """Row ``a`` of ``select_mask``: my complete units of a type ``a`` may pick."""
+        row = np.zeros(C.MAX_UNITS, dtype=bool)
+        if self.action_mask[a]:
+            k = len(self.complete)
+            complete = np.array(self.complete, dtype=bool)
+            row[:k] = SELECTABLE_BY_TYPE[a, self.unit_type[0, :k]] & complete
+        return row
+
+    def target_row(self, a: int) -> np.ndarray:
+        """Row ``a`` of ``target_mask``: the shown enemies for ATTACK, the shown
+        patches for HARVEST."""
+        row = np.zeros(3 * C.MAX_UNITS, dtype=bool)
+        if self.action_mask[a]:
+            if a == C.ATTACK:
+                row[C.MAX_UNITS:C.MAX_UNITS + self.n_enemy] = True
+            elif a == C.HARVEST:
+                row[2 * C.MAX_UNITS:2 * C.MAX_UNITS + self.n_neutral] = True
+        return row
+
+    def position_row(self, a: int) -> np.ndarray:
+        """Row ``a`` of ``position_mask``: every cell for MOVE, the free cells for builds."""
+        if self.action_mask[a]:
+            if a == C.MOVE:
+                return np.ones(C.GRID * C.GRID, dtype=bool)
+            if a in C.BUILD_ACTION_TYPE:
+                return self.free
+        return np.zeros(C.GRID * C.GRID, dtype=bool)
+
+    @cached_property
+    def select_mask(self) -> np.ndarray:
+        """(N_ACTIONS, MAX_UNITS) bool."""
+        return np.stack([self.select_row(a) for a in range(C.N_ACTIONS)])
+
+    @cached_property
+    def target_mask(self) -> np.ndarray:
+        """(N_ACTIONS, 3*MAX_UNITS) bool."""
+        return np.stack([self.target_row(a) for a in range(C.N_ACTIONS)])
+
+    @cached_property
+    def position_mask(self) -> np.ndarray:
+        """(N_ACTIONS, G*G) bool."""
+        return np.stack([self.position_row(a) for a in range(C.N_ACTIONS)])
+
+    @cached_property
+    def spatial(self) -> np.ndarray:
+        """(G, G, SPATIAL_CHANNELS) f32: height, vision, player relation
+        (neutral 0.25, enemy 0.5, mine 1.0) and free cells."""
+        out = np.zeros((C.GRID, C.GRID, C.SPATIAL_CHANNELS), dtype=np.float32)
+        out[:, :, 0] = self.height
+        out[:, :, 1] = cell_grid(self.seen)
+        rel = out[:, :, 2]
+        for x, y, value in self.relation:
+            rel[x, y] = value
+        out[:, :, 3] = self.free.reshape(C.GRID, C.GRID)
+        return out

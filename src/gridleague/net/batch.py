@@ -5,8 +5,10 @@ padded tail inert, so cropping is invisible semantically and buys a large
 speedup at desk scale where most slots are empty).
 
 Arrays keep the observations' dtypes; the network converts each input once.
-Of the per-action legality masks the decoder reads only the rows of the
-actions it chose (``legal_rows``); a batch that is only encoded reads none.
+Stacking reads each observation's ``spatial``, which the observation derives
+on first read. Of the per-action legality masks the decoder reads only the
+rows of the actions it chose (``legal_rows``), each built from the
+observation's factors; a batch that is only encoded builds none.
 """
 
 from __future__ import annotations
@@ -76,9 +78,9 @@ class ObsBatch:
         """Each row's select (B, n0), target (B, n0+n1+n2) and position (B, G*G)
         mask for its action ``ids[i]``, cropped like the unit groups."""
         rows = list(zip(self._observations, ids.tolist()))
-        return (np.stack([o.select_mask[a, : self.group_n[0]] for o, a in rows]),
-                np.stack([o.target_mask[a] for o, a in rows])[:, self.target_slots],
-                np.stack([o.position_mask[a] for o, a in rows]))
+        return (np.stack([o.select_row(a)[: self.group_n[0]] for o, a in rows]),
+                np.stack([o.target_row(a) for o, a in rows])[:, self.target_slots],
+                np.stack([o.position_row(a) for o, a in rows]))
 
     def local_to_global_target(self, local: int) -> int:
         return int(self.target_slots[local])

@@ -30,16 +30,18 @@ def test_local_and_global_target_slots_round_trip(counts):
     assert [batch.local_to_global_target(i) for i in local] == valid
 
 
-def _with_random_masks(counts, rng):
+def _with_random_factors(counts, rng):
     """OBS with the first ``counts[g]`` slots of group g valid, and random
-    legality masks that allow only valid slots."""
+    legality factors for them: legal actions, unit types, which of my units
+    are complete, and free cells."""
     mask = (np.arange(C.MAX_UNITS) < np.array(counts)[:, None]).astype(OBS.unit_mask.dtype)
-    valid = mask.reshape(-1) > 0
     return dataclasses.replace(
         OBS, unit_mask=mask,
-        select_mask=(rng.random(OBS.select_mask.shape) < 0.5) & valid[: C.MAX_UNITS],
-        target_mask=(rng.random(OBS.target_mask.shape) < 0.5) & valid,
-        position_mask=rng.random(OBS.position_mask.shape) < 0.5)
+        unit_type=rng.integers(0, C.N_CONSTRUCTIBLE, OBS.unit_type.shape, dtype=np.int32),
+        action_mask=rng.random(C.N_ACTIONS) < 0.5,
+        complete=tuple((rng.random(counts[0]) < 0.7).tolist()),
+        free=rng.random(C.GRID * C.GRID) < 0.5,
+        n_enemy=counts[1], n_neutral=counts[2])
 
 
 @settings(max_examples=100, deadline=None)
@@ -48,7 +50,7 @@ def _with_random_masks(counts, rng):
 def test_legal_rows_are_the_chosen_actions_masks_cropped(counts, seed):
     """``legal_rows`` gives each row its action's masks, cropped like the groups."""
     rng = np.random.default_rng(seed)
-    observations = [_with_random_masks(c, rng) for c in counts]
+    observations = [_with_random_factors(c, rng) for c in counts]
     batch = ObsBatch(observations)
     ids = rng.integers(0, C.N_ACTIONS, size=len(observations))   # legal or not
     select, target, position = batch.legal_rows(ids)
