@@ -2,7 +2,9 @@
 
 Groups are cropped to the largest valid count in the batch (masks make the
 padded tail inert, so cropping is invisible semantically and buys a large
-speedup at desk scale where most slots are empty).
+speedup at desk scale where most slots are empty). The rows in which a
+cropped group holds no unit at all are left to the group transformer, which
+skips them (see ``net/modules.py``).
 
 Arrays keep the observations' dtypes; the network converts each input once.
 Stacking reads each observation's ``spatial``, which the observation derives

@@ -4,7 +4,17 @@ pooling.
 Every multi-head attention here is one ``T.attention`` op on projected
 queries, keys and values, whose backward replays the primitive steps in
 reverse. A transformer block is four autodiff ops: three projections and the
-attention."""
+attention.
+
+The group transformer runs each block and feed-forward only on the batch
+rows whose unit groups hold units (its row plan, once per call from the
+masks). A skipped row loses nothing: a block whose key group is empty in a
+row outputs exactly 0 there (the attention's empty-group guard), and a group
+empty in a row has all its features zeroed by the slot-mask multiply, so
+``T.place_rows`` puts back the zeros the full computation would have
+produced. A plan that keeps more than half the rows runs on every row, with
+no gather or scatter: at play's small batches most rows hold every group,
+and the gathers would cost more than the skipped rows save."""
 
 from __future__ import annotations
 
@@ -74,13 +84,40 @@ class AttentionBlock:
                            T.matmul(x_kv, self.wv), valid, self.heads)
 
 
+def _row_plan(keep: np.ndarray) -> np.ndarray | None:
+    """The batch rows to run on: None for every row when ``keep`` (B,) holds
+    more than half of them, else the sorted indices kept (maybe none)."""
+    if 2 * np.count_nonzero(keep) > keep.size:
+        return None
+    return np.flatnonzero(keep)
+
+
+def _on_rows(block: AttentionBlock, x_q: Tensor, x_kv: Tensor, valid: np.ndarray,
+             rows: np.ndarray) -> Tensor:
+    """``block`` on the batch rows ``rows`` only, placed back among zero rows."""
+    q = T.take_rows(x_q, rows)
+    kv = q if x_kv is x_q else T.take_rows(x_kv, rows)
+    return T.place_rows(block(q, kv, valid[rows]), rows, valid.shape[0])
+
+
 class GroupTransformer:
     """Per group and layer: self-attention plus cross-attention to the other
     two groups, outputs concatenated, then a position-wise feedforward.
 
     Each layer is residual (x + ffn(attn)); without the identity path the
     near-uniform attention at initialization collapses every unit's feature
-    to the group mean and the pointer heads downstream get zero signal."""
+    to the group mean and the pointer heads downstream get zero signal.
+
+    Row plan: with ``active[g]`` the rows where group g holds a unit, block
+    (g, o) runs on the rows ``active[g] & active[o]`` and group g's
+    feedforward on ``active[g]``. Elsewhere the block's output is exactly 0
+    (key group empty: the attention's guard) or does not matter (query group
+    empty: the slot mask zeroes the whole row, and with it the gradient that
+    flows back), so the results equal those of running on every row. A plan
+    keeping more than half the rows runs on all of them. One keeping none
+    builds no op, and a group empty in every row outputs constant zeros; the
+    parameters of what is not built get no gradient where running on every
+    row gave them an exact zero, so ``Adam`` skips them for that step."""
 
     def __init__(self, store: ParamStore, cfg):
         self.cfg = cfg
@@ -103,16 +140,32 @@ class GroupTransformer:
 
     def __call__(self, feats: list[Tensor], masks: list[np.ndarray]) -> list[Tensor]:
         """``masks``: one (B, n_g) {0, 1} array per group, in the features' dtype."""
+        b = masks[0].shape[0]
         valid = [m != 0 for m in masks]
+        active = [v.any(axis=1) for v in valid]
+        ffn_rows = [_row_plan(a) for a in active]
+        block_rows = [[_row_plan(active[g] & active[o]) for o in range(3)] for g in range(3)]
+        slot_masks = [Tensor(m[:, :, None]) for m in masks]
         for per_group in self.layers:
             new_feats = []
             for g, (blocks, ffn) in enumerate(per_group):
-                parts = [blocks[g](feats[g], feats[g], valid[g])]
-                for o in range(3):
-                    if o != g:
+                rows = ffn_rows[g]
+                if rows is not None and not rows.size:
+                    new_feats.append(Tensor(np.zeros_like(feats[g].data)))
+                    continue
+                parts = []
+                for o in (g, *(o for o in range(3) if o != g)):
+                    plan = block_rows[g][o]
+                    if plan is None:
                         parts.append(blocks[o](feats[g], feats[o], valid[o]))
-                x = T.add(feats[g], ffn(T.concat(parts, axis=2)))
-                new_feats.append(T.mul(x, Tensor(masks[g][:, :, None])))
+                    elif plan.size:
+                        parts.append(_on_rows(blocks[o], feats[g], feats[o], valid[o], plan))
+                    else:
+                        parts.append(Tensor(np.zeros((b, masks[g].shape[1], self.cfg.attn_width),
+                                                     feats[g].dtype)))
+                h = T.concat(parts, axis=2)
+                y = ffn(h) if rows is None else T.place_rows(ffn(T.take_rows(h, rows)), rows, b)
+                new_feats.append(T.mul(T.add(feats[g], y), slot_masks[g]))
             feats = new_feats
         return feats
 

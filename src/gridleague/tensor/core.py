@@ -12,7 +12,7 @@ throughput. Inputs are stated, never converted:
   always has the first operand's shape. ``masked_fill`` takes a bool mask
   that broadcasts to its input by the same rule. ``broadcast_to`` states any
   other expansion; all other shape adaptation is explicit
-  (reshape/transpose/concat), which keeps every backward rule auditable.
+  (reshape/concat), which keeps every backward rule auditable.
 
 Multi-head attention is one op, ``attention``, because the network runs
 dozens of small attentions per step and is bound by the number of ops. Its
@@ -39,17 +39,17 @@ __all__ = [
     "concat",
     "slice_axis",
     "reshape",
-    "transpose",
     "tanh",
     "relu",
     "sigmoid",
-    "softmax",
     "log_softmax",
     "attention",
     "reduce_sum",
     "embedding_lookup",
     "masked_fill",
     "gather_rows",
+    "take_rows",
+    "place_rows",
     "gather_last",
     "conv2d",
 ]
@@ -377,18 +377,6 @@ def reshape(a, *shape) -> Tensor:
     return _make(data, (a,), "reshape", backward)
 
 
-def transpose(a, axes) -> Tensor:
-    data = a.data.transpose(axes)
-    inv = [0] * a.ndim
-    for i, ax in enumerate(axes):
-        inv[ax] = i
-
-    def backward(g):
-        _accum(a, g.transpose(inv))
-
-    return _make(data, (a,), "transpose", backward)
-
-
 # -- pointwise nonlinearities -------------------------------------------------
 
 
@@ -418,21 +406,6 @@ def sigmoid(a) -> Tensor:
         _accum(a, g * y * (1.0 - y))
 
     return _make(y, (a,), "sigmoid", backward)
-
-
-def softmax(a, axis: int = -1) -> Tensor:
-    """Max-subtracted softmax; masked_fill(-1e9) entries get ~0 probability."""
-    if not np.all(np.isfinite(a.data)):
-        raise NumericError("softmax: non-finite input")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
-
-    def backward(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        _accum(a, y * (g - dot))
-
-    return _make(y, (a,), "softmax", backward)
 
 
 def log_softmax(a, axis: int = -1) -> Tensor:
@@ -601,6 +574,44 @@ def gather_rows(a, ids) -> Tensor:
         _accum(a, da)
 
     return _make(data, (a,), "gather_rows", backward)
+
+
+def _check_rows(op: str, idx: np.ndarray, n: int) -> None:
+    if idx.ndim != 1 or not np.issubdtype(idx.dtype, np.integer):
+        raise ShapeError(f"{op}: need a 1-D integer row index, got {idx.dtype} {idx.shape}")
+    if idx.size and (idx[0] < 0 or idx[-1] >= n or (np.diff(idx) <= 0).any()):
+        raise ShapeError(f"{op}: row index must be sorted, unique and in [0, {n})")
+
+
+def _placed(x: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
+    out = np.zeros((n,) + x.shape[1:], dtype=x.dtype)
+    out[idx] = x
+    return out
+
+
+def take_rows(a, idx: np.ndarray) -> Tensor:
+    """``a[idx]`` along axis 0, for a sorted, unique row index; the adjoint of
+    ``place_rows``."""
+    n = a.shape[0]
+    _check_rows("take_rows", idx, n)
+
+    def backward(g):
+        _accum(a, _placed(g, idx, n))
+
+    return _make(a.data[idx], (a,), "take_rows", backward)
+
+
+def place_rows(a, idx: np.ndarray, n: int) -> Tensor:
+    """Zeros with leading size ``n`` and ``a``'s rows at the sorted, unique
+    ``idx``; the adjoint of ``take_rows``."""
+    _check_rows("place_rows", idx, n)
+    if idx.shape[0] != a.shape[0]:
+        raise ShapeError(f"place_rows: {idx.shape[0]} indices for {a.shape[0]} rows")
+
+    def backward(g):
+        _accum(a, g[idx])
+
+    return _make(_placed(a.data, idx, n), (a,), "place_rows", backward)
 
 
 def gather_last(a, ids) -> Tensor:

@@ -17,6 +17,37 @@ def _p(shape, rng=RNG, scale=1.0):
     return T.param(rng.standard_normal(shape) * scale)
 
 
+# ----------------------------------------------------- test-local reference ops
+# Not library ops (the network reads neither): the primitive attention chain
+# below is built from them.
+
+
+def softmax(a, axis: int = -1) -> Tensor:
+    """Max-subtracted softmax; masked_fill(-1e9) entries get ~0 probability."""
+    if not np.all(np.isfinite(a.data)):
+        raise NumericError("softmax: non-finite input")
+    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    y = e / e.sum(axis=axis, keepdims=True)
+
+    def backward(g):
+        dot = (g * y).sum(axis=axis, keepdims=True)
+        T.core._accum(a, y * (g - dot))
+
+    return T.core._make(y, (a,), "softmax", backward)
+
+
+def transpose(a, axes) -> Tensor:
+    inv = [0] * a.ndim
+    for i, ax in enumerate(axes):
+        inv[ax] = i
+
+    def backward(g):
+        T.core._accum(a, g.transpose(inv))
+
+    return T.core._make(a.data.transpose(axes), (a,), "transpose", backward)
+
+
 # ---------------------------------------------------------------- forward values
 
 
@@ -42,13 +73,13 @@ def test_sigmoid_is_the_stable_two_branch_formula(dtype):
 
 
 def test_softmax_symmetry():
-    y = T.softmax(Tensor(np.zeros((1, 3))), axis=-1)
+    y = softmax(Tensor(np.zeros((1, 3))), axis=-1)
     np.testing.assert_allclose(y.data, [[1 / 3, 1 / 3, 1 / 3]])
 
 
 def test_softmax_rows_sum_to_one():
     x = Tensor(RNG.standard_normal((8, 11)) * 5)
-    y = T.softmax(x, axis=-1)
+    y = softmax(x, axis=-1)
     np.testing.assert_allclose(y.data.sum(axis=-1), np.ones(8), atol=1e-9)
 
 
@@ -57,7 +88,7 @@ def test_masked_fill_then_softmax_leaks_below_1e30():
     mask = np.zeros((4, 6), dtype=bool)
     mask[:, 2] = True
     mask[:, 5] = True
-    y = T.softmax(T.masked_fill(x, mask, -1e9), axis=-1)
+    y = softmax(T.masked_fill(x, mask, -1e9), axis=-1)
     assert y.data[:, 2].max() < 1e-30
     assert y.data[:, 5].max() < 1e-30
     np.testing.assert_allclose(y.data.sum(axis=-1), np.ones(4), atol=1e-9)
@@ -97,7 +128,7 @@ def test_shape_error_names_op_and_dims():
 
 
 def test_softmax_rejects_nonfinite_input():
-    for op in (T.softmax, T.log_softmax):
+    for op in (softmax, T.log_softmax):
         with pytest.raises(NumericError):
             op(Tensor(np.array([[np.nan, 0.0]])), axis=-1)
 
@@ -148,11 +179,11 @@ UNARY_CASES = [
     ("tanh", lambda x: T.tanh(x), 1.0),
     ("relu", lambda x: T.relu(x), 1.0),
     ("sigmoid", lambda x: T.sigmoid(x), 1.0),
-    ("softmax", lambda x: T.softmax(x, axis=-1), 1.0),
+    ("softmax", lambda x: softmax(x, axis=-1), 1.0),
     ("log_softmax", lambda x: T.log_softmax(x, axis=-1), 1.0),
     ("reduce_sum_ax0", lambda x: T.reduce_sum(x, axis=0), 1.0),
     ("reshape", lambda x: T.reshape(x, (x.size,)), 1.0),
-    ("transpose", lambda x: T.transpose(x, (1, 0)), 1.0),
+    ("transpose", lambda x: transpose(x, (1, 0)), 1.0),
     ("slice", lambda x: T.slice_axis(x, 1, 1, 3), 1.0),
     ("neg", lambda x: T.neg(x), 1.0),
     ("gather_last", lambda x: T.gather_last(x, np.arange(x.shape[0]) % x.shape[1]), 1.0),
@@ -301,6 +332,56 @@ def test_gather_grad():
     assert grad_check(f, [x], eps=1e-5) < 1e-4
 
 
+def test_take_and_place_rows_grad():
+    rng = np.random.default_rng(24)
+    idx = np.array([0, 2, 3])
+    x = T.param(rng.standard_normal((5, 3, 2)))
+    rows = T.param(rng.standard_normal((3, 3, 2)))
+
+    def taken():
+        return T.reduce_sum(T.tanh(T.take_rows(x, idx)))
+
+    def placed():
+        return T.reduce_sum(T.tanh(T.add(T.place_rows(rows, idx, 5), x)))
+
+    assert grad_check(taken, [x], eps=1e-5) < 1e-6
+    assert grad_check(placed, [rows, x], eps=1e-5) < 1e-6
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_place_of_take_zeroes_exactly_the_dropped_rows(n):
+    rng = np.random.default_rng(25 + n)
+    x = T.param(rng.standard_normal((n, 4, 3)))
+    for _ in range(5):
+        keep = rng.random(n) < 0.5
+        idx = np.flatnonzero(keep)
+        y = T.place_rows(T.take_rows(x, idx), idx, n)
+        np.testing.assert_array_equal(y.data[keep], x.data[keep])
+        assert not y.data[~keep].any()
+        x.grad = None
+        y.backward(np.ones_like(y.data))
+        np.testing.assert_array_equal(x.grad, np.broadcast_to(keep[:, None, None], x.shape))
+
+
+def test_row_index_errors():
+    x = Tensor(np.zeros((4, 2)))
+    bad = {
+        "unsorted": np.array([2, 1]),
+        "duplicate": np.array([1, 1, 2]),
+        "negative": np.array([-1, 2]),
+        "past the end": np.array([1, 4]),
+        "2-D": np.array([[0, 1]]),
+        "float": np.array([0.0, 1.0]),
+    }
+    for idx in bad.values():
+        with pytest.raises(ShapeError, match="take_rows"):
+            T.take_rows(x, idx)
+        with pytest.raises(ShapeError, match="place_rows"):
+            T.place_rows(Tensor(np.zeros((idx.shape[-1], 2))), idx, 4)
+    with pytest.raises(ShapeError, match="place_rows"):
+        T.place_rows(Tensor(np.zeros((3, 2))), np.array([0, 1]), 4)    # rows != indices
+
+
 def test_grad_check_on_constant_function_is_zero():
     x = T.param(RNG.standard_normal((2, 2)))
 
@@ -338,7 +419,7 @@ def test_random_shapes_and_seeds_50_gradient_checks():
         def f():
             y = T.matmul(x, w)
             y = T.masked_fill(y, mask, -1e9)
-            p = T.softmax(y, axis=-1)
+            p = softmax(y, axis=-1)
             lp = T.log_softmax(y, axis=-1)
             ent = T.neg(T.reduce_sum(T.mul(p, lp)))
             pooled = T.reduce_sum(T.mul(T.tanh(T.matmul(x, w)), rows), axis=1)
@@ -384,7 +465,7 @@ def test_broadcast_mask_fill_matches_finite_differences():
     def f():
         y = T.masked_fill(x, fill, -1e9)
         assert y.shape == x.shape
-        return T.reduce_sum(T.tanh(T.softmax(y, axis=-1)))
+        return T.reduce_sum(T.tanh(softmax(y, axis=-1)))
 
     np.testing.assert_array_equal(T.masked_fill(x, fill, -1e9).data == -1e9,
                                   np.broadcast_to(fill, x.shape))
@@ -433,14 +514,14 @@ def _chain_attention(q, k, v, valid, heads):
     nk, d = k.shape[1], w // heads
 
     def split(x, n):
-        return T.transpose(T.reshape(x, (b, n, heads, d)), (0, 2, 1, 3))
+        return transpose(T.reshape(x, (b, n, heads, d)), (0, 2, 1, 3))
 
-    scores = T.mul(T.matmul(split(q, nq), T.transpose(split(k, nk), (0, 1, 3, 2))),
+    scores = T.mul(T.matmul(split(q, nq), transpose(split(k, nk), (0, 1, 3, 2))),
                    1.0 / np.sqrt(d))
-    weights = T.softmax(T.masked_fill(scores, ~valid[:, None, None, :], -1e9), axis=-1)
+    weights = softmax(T.masked_fill(scores, ~valid[:, None, None, :], -1e9), axis=-1)
     guard = valid.any(axis=1).astype(q.dtype)[:, None, None, None]
     out = T.mul(T.matmul(weights, split(v, nk)), Tensor(guard))
-    return T.reshape(T.transpose(out, (0, 2, 1, 3)), (b, nq, w))
+    return T.reshape(transpose(out, (0, 2, 1, 3)), (b, nq, w))
 
 
 def test_attention_matches_finite_differences():

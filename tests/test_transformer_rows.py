@@ -1,0 +1,126 @@
+"""The group transformer's row plan computes what running every block and
+feed-forward on every row computes.
+
+``_reference`` keeps the transformer body without a row plan. Hypothesis
+draws batches of 1, 3, 8 and 40 rows in which each group holds units in
+0..B rows, including a group empty in every row and exactly half the rows
+active, and the test compares float64 outputs and every gradient with the
+reference. It also checks which rows each attention runs on, and that a
+batch whose every row holds every group builds the reference's ops exactly.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+from _helpers import TINY_NET
+from hypothesis import given, settings, strategies as st
+
+from gridleague import tensor as T
+from gridleague.net.modules import GroupTransformer, ParamStore
+from gridleague.tensor import Tensor
+
+CFG = replace(TINY_NET, transformer_layers=2)
+TOL = 1e-12
+
+
+def _reference(gt: GroupTransformer, feats, masks):
+    """Every block and feed-forward on every row."""
+    valid = [m != 0 for m in masks]
+    for per_group in gt.layers:
+        new_feats = []
+        for g, (blocks, ffn) in enumerate(per_group):
+            parts = [blocks[g](feats[g], feats[g], valid[g])]
+            for o in range(3):
+                if o != g:
+                    parts.append(blocks[o](feats[g], feats[o], valid[o]))
+            x = T.add(feats[g], ffn(T.concat(parts, axis=2)))
+            new_feats.append(T.mul(x, Tensor(masks[g][:, :, None])))
+        feats = new_feats
+    return feats
+
+
+@st.composite
+def batches(draw, all_active=False):
+    """(B, masks, seed): per group a (B, n_g) float64 {0, 1} mask."""
+    b = draw(st.sampled_from([1, 3, 8, 40]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    masks = []
+    for _ in range(3):
+        n = draw(st.integers(1, 4))
+        k = b if all_active else draw(st.sampled_from([0, b // 2, b]) | st.integers(0, b))
+        active = np.zeros(b, dtype=bool)
+        active[rng.choice(b, size=k, replace=False)] = True
+        valid = (rng.random((b, n)) < 0.5) & active[:, None]
+        valid[active, rng.integers(0, n, size=k)] = True
+        masks.append(valid.astype(np.float64))
+    return b, masks, int(rng.integers(2**32))
+
+
+def _run(call, masks, seed):
+    """Outputs, then every gradient (parameters and inputs) of a probed sum,
+    and the (op, leading size) of every op the call builds."""
+    params = ParamStore(np.random.default_rng(0), np.float64)
+    gt = GroupTransformer(params, CFG)
+    rng = np.random.default_rng(seed)
+    feats = [T.param(rng.standard_normal((m.shape[0], m.shape[1], CFG.d_model)))
+             for m in masks]
+    built, make = [], T.core._make
+
+    def recording_make(data, parents, op, backward=None):
+        built.append((op, data.shape[0] if data.ndim else 0))
+        return make(data, parents, op, backward)
+
+    T.core._make = recording_make
+    try:
+        outs = call(gt, feats, masks)
+    finally:
+        T.core._make = make
+    probed = [T.reduce_sum(T.mul(y, Tensor(rng.standard_normal(y.shape)))) for y in outs]
+    T.add(T.add(probed[0], probed[1]), probed[2]).backward()
+    leaves = list(params.params.values()) + feats
+    return [y.data for y in outs], [p.grad for p in leaves], built
+
+
+def _plan_rows(masks):
+    """The batch rows of every attention, in build order: all rows when the
+    query and key groups both hold units in more than half, else those rows."""
+    b = masks[0].shape[0]
+    active = [m.any(axis=1) for m in masks]
+    rows = []
+    for _ in range(CFG.transformer_layers):
+        for g in range(3):
+            if not active[g].any():
+                continue
+            for o in (g, *(o for o in range(3) if o != g)):
+                k = int((active[g] & active[o]).sum())
+                if k:
+                    rows.append(b if 2 * k > b else k)
+    return rows
+
+
+@settings(max_examples=120, deadline=None)
+@given(batches())
+def test_row_plan_matches_every_row(batch):
+    b, masks, seed = batch
+    outs, grads, built = _run(GroupTransformer.__call__, masks, seed)
+    ref_outs, ref_grads, _ = _run(_reference, masks, seed)
+    for y, ref, m in zip(outs, ref_outs, masks):
+        np.testing.assert_allclose(y, ref, rtol=0, atol=TOL)
+        assert not y[m == 0].any(), "padded slots must be exactly 0"
+    for g, ref in zip(grads, ref_grads):
+        if g is None:       # a group empty in every row builds no op
+            assert not ref.any()
+        else:
+            np.testing.assert_allclose(g, ref, rtol=0, atol=TOL)
+    assert [n for op, n in built if op == "attention"] == _plan_rows(masks)
+
+
+@settings(max_examples=30, deadline=None)
+@given(batches(all_active=True))
+def test_full_batch_builds_the_reference_ops(batch):
+    b, masks, seed = batch
+    outs, grads, built = _run(GroupTransformer.__call__, masks, seed)
+    ref_outs, ref_grads, ref_built = _run(_reference, masks, seed)
+    assert built == ref_built
+    for y, ref in zip(outs + grads, ref_outs + ref_grads):
+        np.testing.assert_array_equal(y, ref)
