@@ -147,6 +147,14 @@ class Game:
     # ------------------------------------------------------------ bookkeeping
 
     def _event(self, player: int, kind: str, payload: dict) -> None:
+        if kind == "illegal_action":
+            ps = self.players[player]
+            if payload.get("reason") == "stale_target":
+                ps.stale_targets += 1
+            else:
+                ps.illegal_actions += 1
+        elif kind == "build_dropped":
+            self.players[player].builds_dropped += 1
         if self.record_events:
             self.events.append({"step": self.step_count, "player": player,
                                 "kind": kind, "payload": payload})

@@ -60,6 +60,10 @@ class PlayerState:
     minerals: int = C.INITIAL_MINERALS
     harvested: int = 0
     spent: int = 0
+    # kept whether or not the game records events
+    illegal_actions: int = 0       # "illegal_action" events that failed validation
+    stale_targets: int = 0         # "illegal_action" events whose target was gone
+    builds_dropped: int = 0        # "build_dropped" events
 
 
 @dataclass

@@ -1,14 +1,25 @@
 """Parallel match execution with batched network inference.
 
-Many games advance in lockstep; all decisions due on a tick that belong to
-the same network are batched into one forward pass. Scripted opponents act
-inline. Policy randomness is seeded from (game seed, side), so swapping which
-policy sits on which side replays identical games when the policies are the
-same (the mirrored-seed evaluation trick).
+The schedule: at the start of each round every live game has a due decision.
+The due decisions of each shared network and decode mode go into one forward
+pass, so every live game in which a network plays both sides brings a row to
+its forward; scripted sides act inline. Each live game then takes one step
+with its round's actions and advances with no-op steps until one of its sides
+is due again. A game that ends on the way is retired there, and a new job
+takes its place, due at once.
+
+A game's trajectory does not depend on when the runner steps it, so outcomes
+do not depend on which games share a forward, on ``parallel`` or on the job
+order: games share no state, each row of a forward reads only its own
+observation and recurrent state, and each side draws its randomness only
+from its own stream, seeded from (game seed, side). The same seeding makes
+swapping which policy sits on which side replay identical games when the
+policies are the same (the mirrored-seed evaluation trick).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,6 +75,9 @@ class MatchResult:
     winner: int | None
     end_step: int
     game: Game = field(repr=False, default=None)
+    # per side: decisions, illegal actions, stale-target actions and dropped
+    # builds, counted whether or not the job records events
+    counts: tuple[dict, dict] = ()
 
     def points(self, side: int) -> float:
         if self.winner is None:
@@ -86,6 +100,14 @@ class _LiveMatch:
                 st.h, st.c = h[0], c[0]
             self.sides.append(st)
 
+    def result(self) -> MatchResult:
+        g = self.game
+        counts = tuple({"decisions": st.decisions, "illegal_actions": ps.illegal_actions,
+                        "stale_targets": ps.stale_targets, "builds_dropped": ps.builds_dropped}
+                       for st, ps in zip(self.sides, g.players))
+        return MatchResult(job=self.job, winner=g.outcome.winner,
+                           end_step=g.outcome.end_step, game=g, counts=counts)
+
 
 def run_matches(jobs: list[MatchJob], parallel: int = 32) -> list[MatchResult]:
     """Play every job to completion, at most ``parallel`` at a time; returns
@@ -99,8 +121,9 @@ def run_matches(jobs: list[MatchJob], parallel: int = 32) -> list[MatchResult]:
         while queue and len(live) < parallel:
             idx, job = queue.pop(0)
             live.append((idx, _LiveMatch(job)))
-        # gather decisions due on this tick, grouped by shared network
-        net_groups: dict[int, list] = {}
+        # every live game has a due decision: gather them, grouped by shared
+        # network and decode mode
+        net_groups: dict[tuple, list] = {}
         scripted_acts: dict[int, dict[int, StructuredAction]] = {}
         for li, (idx, m) in enumerate(live):
             for side, st in enumerate(m.sides):
@@ -113,8 +136,8 @@ def run_matches(jobs: list[MatchJob], parallel: int = 32) -> list[MatchResult]:
                     st.due = m.game.step_count + act.delay
                     st.decisions += 1
                 else:
-                    net_groups.setdefault(id(st.agent.net), []).append(
-                        (li, side, st, obs))
+                    key = (id(st.agent.net), st.agent.mode)
+                    net_groups.setdefault(key, []).append((li, side, st, obs))
         for group in net_groups.values():
             agent: NetAgent = group[0][2].agent
             batch = ObsBatch([g[3] for g in group])
@@ -135,13 +158,15 @@ def run_matches(jobs: list[MatchJob], parallel: int = 32) -> list[MatchResult]:
                 st.due = live[li][1].game.step_count + act.delay
                 st.decisions += 1
                 scripted_acts.setdefault(li, {})[side] = act
-        # advance every live game one env step
+        # step every live game with its actions, then on to its next due decision
         still = []
         for li, (idx, m) in enumerate(live):
             m.game.step_env(scripted_acts.get(li))
+            due = min(st.due for st in m.sides)
+            while m.game.step_count < due and not m.game.done:
+                m.game.step_env(None)
             if m.game.done:
-                results[idx] = MatchResult(job=m.job, winner=m.game.outcome.winner,
-                                           end_step=m.game.outcome.end_step, game=m.game)
+                results[idx] = m.result()
             else:
                 still.append((idx, m))
         live = still
@@ -164,7 +189,8 @@ def evaluate_match(agent_a, agent_b, n_games: int, seed: int = 0,
     """Win rate of A vs B with a 95% Wilson interval; draws count one half.
 
     Mirrored: each seed is played twice with the sides swapped, so a policy
-    against itself scores exactly 0.5.
+    against itself scores exactly 0.5. ``counts`` sums each agent's
+    ``MatchResult.counts`` over its games.
     """
     if n_games < 1:
         raise ValueError("n_games must be >= 1")
@@ -180,10 +206,14 @@ def evaluate_match(agent_a, agent_b, n_games: int, seed: int = 0,
     results = run_matches(jobs, parallel=parallel)
     points = 0.0
     draws = 0
+    counts = {"a": Counter(), "b": Counter()}
     for r in results:
         a_side = 1 if r.job.tag == "swapped" else 0
         points += r.points(a_side)
         draws += r.winner is None
+        counts["a"].update(r.counts[a_side])
+        counts["b"].update(r.counts[1 - a_side])
     lo, hi = wilson_interval(points, n_games)
     return {"win_rate": points / n_games, "points": points, "n": n_games,
-            "draws": draws, "ci95": (lo, hi)}
+            "draws": draws, "ci95": (lo, hi),
+            "counts": {agent: dict(c) for agent, c in counts.items()}}

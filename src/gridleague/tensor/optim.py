@@ -26,6 +26,10 @@ class Adam:
         """Apply one update from accumulated grads; returns global grad norm.
 
         lr == 0 leaves parameter bytes untouched (update skipped entirely).
+        A parameter whose grad is None takes a zero gradient: its moments
+        decay and it moves by momentum alone, so an update does not depend on
+        whether an op that would give it exact zeros was built. One that has
+        never had a gradient keeps its bytes, since its moments are zero.
         """
         sq = 0.0
         for p in self.params.values():
@@ -44,8 +48,8 @@ class Adam:
         for k, p in self.params.items():
             g = p.grad
             if g is None:
-                continue
-            if scale != 1.0:
+                g = np.zeros_like(p.data)
+            elif scale != 1.0:
                 g = g * scale
             m = self._m[k]
             v = self._v[k]

@@ -276,3 +276,40 @@ def test_archetype_cycle_quick_check():
     assert winrate("RUSH", "ECON") >= 0.6
     assert winrate("ECON", "BALANCED") >= 0.6
     assert winrate("BALANCED", "RUSH") >= 0.6
+
+
+@pytest.mark.parametrize("record", [True, False])
+def test_refused_actions_are_counted_with_events_on_or_off(record):
+    """An illegal action, a stale target and a dropped build each add one to
+    the player's counters, whether or not the game records events."""
+    g = Game(3, "triton_toy", record_events=record)
+    # illegal: an attack that selects no unit
+    g.step_env({0: StructuredAction(C.ATTACK, delay=1)})
+    # stale target: the shown patch is gone by the time the action applies
+    obs = g.observe(0)
+    worker = int(np.flatnonzero(obs.select_mask[C.HARVEST])[0])
+    target = int(np.flatnonzero(obs.target_mask[C.HARVEST])[0])
+    del g.units[int(obs.slot_uid[2, target - 2 * C.MAX_UNITS])]
+    g.step_env({0: StructuredAction(C.HARVEST, selected_units=[worker], target_unit=target)})
+    # dropped build: ordered with the minerals shown, which are gone when the
+    # worker reaches the site
+    g.players[0].minerals = 500
+    obs = g.observe(0)
+    worker = int(np.flatnonzero(obs.select_mask[C.BUILD_BARRACKS])[0])
+    pos = int(np.flatnonzero(obs.position_mask[C.BUILD_BARRACKS])[0])
+    g.players[0].minerals = 0
+    g.step_env({0: StructuredAction(C.BUILD_BARRACKS, selected_units=[worker],
+                                    target_position=pos)})
+    while g.players[0].builds_dropped == 0 and g.step_count < 60:
+        g.step_env()
+    ps = g.players[0]
+    assert (ps.illegal_actions, ps.stale_targets, ps.builds_dropped) == (1, 1, 1)
+    other = g.players[1]
+    assert (other.illegal_actions, other.stale_targets, other.builds_dropped) == (0, 0, 0)
+    if record:
+        kinds = [(e["kind"], e["payload"].get("reason")) for e in g.events if e["player"] == 0]
+        assert kinds.count(("illegal_action", None)) == 1
+        assert kinds.count(("illegal_action", "stale_target")) == 1
+        assert kinds.count(("build_dropped", "resources")) == 1
+    else:
+        assert not g.events

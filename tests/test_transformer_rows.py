@@ -7,6 +7,8 @@ draws batches of 1, 3, 8 and 40 rows in which each group holds units in
 active, and the test compares float64 outputs and every gradient with the
 reference. It also checks which rows each attention runs on, and that a
 batch whose every row holds every group builds the reference's ops exactly.
+Over several BC train steps, in which some batches hold no enemy unit, the
+row plan trains the same weights as the reference.
 """
 
 from dataclasses import replace
@@ -16,6 +18,9 @@ from _helpers import TINY_NET
 from hypothesis import given, settings, strategies as st
 
 from gridleague import tensor as T
+from gridleague.imitation import BCTrainer, generate_dataset
+from gridleague.imitation.dataset import cut_windows, load_index, load_trajectory
+from gridleague.net import PolicyNet
 from gridleague.net.modules import GroupTransformer, ParamStore
 from gridleague.tensor import Tensor
 
@@ -124,3 +129,43 @@ def test_full_batch_builds_the_reference_ops(batch):
     assert built == ref_built
     for y, ref in zip(outs + grads, ref_outs + ref_grads):
         np.testing.assert_array_equal(y, ref)
+
+
+def _train(windows_per_step):
+    """(loss, grad norm, parameter copies) after each of the steps."""
+    net = PolicyNet(TINY_NET, np.random.default_rng(3), dtype=np.float64)
+    trainer = BCTrainer(net)
+    trace = []
+    for windows in windows_per_step:
+        m = trainer.train_step(windows)
+        trace.append((m["loss"], m["grad_norm"],
+                      {k: p.data.copy() for k, p in net.parameters().items()}))
+    return trace
+
+
+def test_train_steps_match_the_reference_when_a_block_keeps_no_row(tmp_path, monkeypatch):
+    """A weight that no row of a step needs gets no gradient under the row
+    plan and a zero gradient under the reference. Adam must treat the two
+    alike, or the update depends on which groups share the batch."""
+    generate_dataset(tmp_path, n_games=1, seed=0, mix=("RUSH",), max_steps=200)
+    entry = load_index(tmp_path)["games"][0]
+    windows = [w for traj in load_trajectory(tmp_path, entry, (0, 1))
+               for w in cut_windows(traj, 4)]
+    for w in windows:
+        w.h0 = np.zeros(TINY_NET.lstm_width)
+        w.c0 = np.zeros(TINY_NET.lstm_width)
+    sees_enemy = [max(o.n_enemy for o in w.observations) > 0 for w in windows]
+    blind = [w for w, seen in zip(windows, sees_enemy) if not seen]
+    seeing = [w for w, seen in zip(windows, sees_enemy) if seen]
+    assert len(blind) >= 6 and len(seeing) >= 3
+    # the enemy group's blocks have rows in steps 1 and 4 only
+    steps = [[seeing[0], blind[0], seeing[1]], blind[1:3], blind[3:6], [blind[0], seeing[2]]]
+
+    planned = _train(steps)
+    with monkeypatch.context() as mp:
+        mp.setattr(GroupTransformer, "__call__", _reference)
+        reference = _train(steps)
+    for (loss, norm, params), (ref_loss, ref_norm, ref_params) in zip(planned, reference):
+        assert abs(loss - ref_loss) <= TOL and abs(norm - ref_norm) <= TOL
+        for k, ref in ref_params.items():
+            np.testing.assert_allclose(params[k], ref, rtol=0, atol=TOL, err_msg=k)
