@@ -213,6 +213,9 @@ class WindowLoader:
         hold_games = set(games[-n_hold:]) if n_hold else set()
         self.train_sides = [s for s in sides if s[0] not in hold_games]
         self.holdout_sides = [s for s in sides if s[0] in hold_games]
+        if not self.train_sides:
+            raise ValueError(f"{dataset_dir}: holding out {n_hold} of {len(games)} games "
+                             f"leaves none to train on")
 
     def sample_trajectories(self, k: int, sides=None) -> list[Trajectory]:
         """k picked game sides, re-simulating each picked game once.
@@ -221,6 +224,8 @@ class WindowLoader:
         result is in pick order.
         """
         pool = sides if sides is not None else self.train_sides
+        if not pool:
+            raise ValueError(f"{self.dir}: no game sides to sample from")
         picks = [pool[int(self.rng.integers(0, len(pool)))] for _ in range(k)]
         by_game: dict[int, list[int]] = {}
         for gi, side in dict.fromkeys(picks):

@@ -168,6 +168,17 @@ def test_window_loader_splits_and_batches(tmp_path):
     assert w.h0 is not None and w.h0.shape == (net.cfg.lstm_width,)
 
 
+def test_window_loader_refuses_a_split_with_nothing_to_train_on(tmp_path):
+    d = _tiny_dataset(tmp_path, n=1)
+    with pytest.raises(ValueError, match="none to train on") as err:
+        WindowLoader(d)           # the default holdout takes the only game
+    assert str(d) in str(err.value)
+    loader = WindowLoader(d, holdout_fraction=0)
+    assert loader.train_sides and not loader.holdout_sides
+    with pytest.raises(ValueError, match="no game sides"):
+        loader.sample_trajectories(2, loader.holdout_sides)
+
+
 def test_both_sides_from_one_resimulation_equal_single_side_loads(tmp_path):
     d = _tiny_dataset(tmp_path, n=1)
     entry = json.loads((d / "index.json").read_text())["games"][0]

@@ -139,6 +139,27 @@ def test_adam_lr_zero_leaves_parameters_bitwise_unchanged():
     assert p.data.tobytes() == before
 
 
+def test_adam_skips_a_parameter_without_gradients_until_it_gets_one():
+    rng = np.random.default_rng(6)
+    idle, used = T.param(rng.standard_normal((2, 3))), T.param(rng.standard_normal(4))
+    opt = Adam({"idle": idle, "used": used}, lr=0.1)
+    before, start = idle.data.tobytes(), used.data.copy()
+    g = used.grad = rng.standard_normal(4)
+    opt.step()
+    moved = used.data.copy()
+    m, v = opt._m["used"].copy(), opt._v["used"].copy()
+    for _ in range(3):          # neither has a gradient now
+        opt.zero_grad()
+        opt.step()
+    assert idle.data.tobytes() == before
+    assert not opt._m["idle"].any() and not opt._v["idle"].any()
+    # the used one keeps decaying its moments and moving by momentum
+    np.testing.assert_allclose(opt._m["used"], m * opt.beta1 ** 3)
+    np.testing.assert_allclose(opt._v["used"], v * opt.beta2 ** 3)
+    assert (np.sign(start - moved) == np.sign(g)).all()
+    assert (np.sign(moved - used.data) == np.sign(g)).all()
+
+
 def test_adam_descends_on_quadratic():
     p = T.param(np.array([[5.0]]))
     opt = Adam({"p": p}, lr=0.1)

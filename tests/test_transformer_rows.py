@@ -1,14 +1,15 @@
-"""The group transformer's row plan computes what running every block and
+"""The group transformer's row sets compute what running every block and
 feed-forward on every row computes.
 
-``_reference`` keeps the transformer body without a row plan. Hypothesis
+``_reference`` keeps the transformer body without row sets. Hypothesis
 draws batches of 1, 3, 8 and 40 rows in which each group holds units in
 0..B rows, including a group empty in every row and exactly half the rows
 active, and the test compares float64 outputs and every gradient with the
-reference. It also checks which rows each attention runs on, and that a
-batch whose every row holds every group builds the reference's ops exactly.
-Over several BC train steps, in which some batches hold no enemy unit, the
-row plan trains the same weights as the reference.
+reference. It also checks which rows each attention runs on, how many row
+takes and places the call builds, and that a batch whose every row holds
+every group builds the reference's ops exactly. Over several BC train steps,
+in which some batches hold no enemy unit, the row sets train the same
+weights as the reference.
 """
 
 from dataclasses import replace
@@ -86,21 +87,47 @@ def _run(call, masks, seed):
     return [y.data for y in outs], [p.grad for p in leaves], built
 
 
-def _plan_rows(masks):
-    """The batch rows of every attention, in build order: all rows when the
-    query and key groups both hold units in more than half, else those rows."""
+def _row_sets(masks):
+    """Per group, the (B,) bool rows it runs on: where it holds units, or
+    every row when that is more than half of them."""
     b = masks[0].shape[0]
     active = [m.any(axis=1) for m in masks]
+    return [np.ones(b, dtype=bool) if 2 * a.sum() > b else a for a in active]
+
+
+def _plan_rows(masks):
+    """The batch rows of every attention, in build order: the rows that the
+    query and key groups' row sets share."""
+    keep = _row_sets(masks)
     rows = []
     for _ in range(CFG.transformer_layers):
         for g in range(3):
-            if not active[g].any():
+            if not keep[g].any():
                 continue
             for o in (g, *(o for o in range(3) if o != g)):
-                k = int((active[g] & active[o]).sum())
+                k = int((keep[g] & keep[o]).sum())
                 if k:
-                    rows.append(b if 2 * k > b else k)
+                    rows.append(k)
     return rows
+
+
+def _row_ops(masks):
+    """(take_rows, place_rows) ops of one call: a group on part of the rows
+    is taken there once and placed back once; a block takes its queries
+    (keys) when it runs on fewer rows than the query (key) group, and places
+    its output when it runs on fewer rows than the query group."""
+    b = masks[0].shape[0]
+    keep = _row_sets(masks)
+    sizes = [int(k.sum()) for k in keep]
+    takes = places = sum(0 < n < b for n in sizes)
+    for _ in range(CFG.transformer_layers):
+        for g in range(3):
+            for o in range(3):
+                k = int((keep[g] & keep[o]).sum())
+                if k:
+                    takes += (k < sizes[g]) + (k < sizes[o])
+                    places += k < sizes[g]
+    return takes, places
 
 
 @settings(max_examples=120, deadline=None)
@@ -118,6 +145,8 @@ def test_row_plan_matches_every_row(batch):
         else:
             np.testing.assert_allclose(g, ref, rtol=0, atol=TOL)
     assert [n for op, n in built if op == "attention"] == _plan_rows(masks)
+    ops = [op for op, _ in built]
+    assert (ops.count("take_rows"), ops.count("place_rows")) == _row_ops(masks)
 
 
 @settings(max_examples=30, deadline=None)
