@@ -10,37 +10,41 @@ grow, ``_spawn`` appends, and ``del`` keeps the order of the rest. Code that
 spawns while it iterates walks a ``list(...)`` snapshot, so new units wait
 for the next step.
 
-Lookups over units use lists and maps built once per sub-step instead of a
-scan of every unit per query:
+Lookups over units use indexes instead of a scan of every unit per query.
 
-- move: the complete bases of each player and the patches with minerals left
-  (``_candidates``), where harvesters find where to deposit and which patch
-  to mine next;
-- attack: per player, a map from cell to the lowest-uid unit there and the
-  set of occupied cells (``_cell_maps``, built at the first idle military
-  unit), where idle military units find a target in range: the set rules
-  out most of them at once, the map's Chebyshev rings 0..range find the rest;
-- harvest: the complete bases of each player again.
+The kept index (``_index``) holds what changes only when a unit appears or
+disappears or a building or patch changes state: the complete bases of each
+player, the patches with minerals left, the flat free-cell grid (no building
+or patch on the cell) and the players that own a base, complete or not.
+``_spawn``, a death in attack, a building completing in produce and a patch
+depleting in harvest drop it, and the next read rebuilds it. So the index
+lives across steps, and every observation between two rebuilds shares one
+read-only ``free`` array. Harvesters look up where to deposit and which
+patch to mine next in it, ``_check_end`` reads who still owns a base, and
+producers and ``observe`` read the free grid. Code that edits ``units``
+or a unit's state directly leaves the index stale until its next rebuild.
 
-Nothing invalidates them within their sub-step. Bases and patches never
-move; units move only in move; a patch's minerals fall only in harvest,
-which looks up bases, not patches; units die only at the end of attack,
-after every target is chosen; bases complete and units spawn only in
-produce.
+Attack builds its own lookup per step, because units move every step: per
+player, a map from cell to the lowest-uid unit there and the set of
+occupied cells (``_cell_maps``, built at the first idle military unit),
+where idle military units find a target in range: the set rules out most
+of them at once, the map's Chebyshev rings 0..range find the rest. Units
+die only at the end of attack, after every target is chosen.
 
 A cell set is an int with bit ``x * GRID + y`` set for each cell (x, y) in
 it. A player's vision is the union of its units' ``_square``s, and whether
 an enemy is seen is one bit of it.
 
-``observe`` stores the factors that determine an observation's spatial
-planes and per-action legality masks, not the dense arrays (see
-``Observation``). ``_validate`` and the scripts read the factors, so scripted
-play builds neither.
+``observe`` stores the factors that determine an observation's unit arrays,
+spatial planes and per-action legality masks, not the dense arrays (see
+``Observation``). ``_validate``, slot resolution and the scripts read the
+factors, so scripted play builds none of them.
 """
 
 from __future__ import annotations
 
 import functools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,6 +91,14 @@ def _features(u: Unit) -> tuple:
             len(u.train_queue) / 3.0)
 
 
+class _Index(NamedTuple):
+    """What changes only on a spawn, a death, a completion or a depletion."""
+    bases: tuple[list[Unit], list[Unit]]    # each player's complete bases, uid order
+    patches: list[Unit]                     # the patches with minerals left, uid order
+    free: np.ndarray                        # (G*G,) bool, read-only: no building or patch
+    based: frozenset[int]                   # the players that own a base, complete or not
+
+
 class Game:
     def __init__(self, seed: int, variant: str = "triton_toy",
                  max_steps: int = C.MAX_STEPS, record_events: bool = True):
@@ -106,6 +118,7 @@ class Game:
         self.attrition = 0            # minerals carried by workers that died
         self._next_uid = 0
         self._given: list[Observation | None] = [None, None]   # last observe() per player
+        self._kept: _Index | None = None        # see _index; None once stale
         self._height = self._height_plane(variant)
         self._setup(variant)
 
@@ -129,6 +142,7 @@ class Game:
                  remaining=remaining)
         self._next_uid += 1
         self.units[u.uid] = u
+        self._kept = None
         return u
 
     def _setup(self, variant: str) -> None:
@@ -165,12 +179,24 @@ class Game:
     def entity_count(self, player: int) -> int:
         return sum(1 for u in self.units.values() if u.player == player)
 
-    def _static_free(self) -> np.ndarray:
-        free = np.ones((C.GRID, C.GRID), dtype=bool)
-        for u in self.units.values():
-            if u.type in _STATIC:
-                free[u.x, u.y] = False
-        return free
+    def _index(self) -> _Index:
+        """The kept index, rebuilt first if it is stale."""
+        if self._kept is None:
+            bases, patches, based = ([], []), [], set()
+            free = np.ones(C.GRID * C.GRID, dtype=bool)
+            for u in self.units.values():
+                if u.type not in _STATIC:
+                    continue
+                free[u.x * C.GRID + u.y] = False
+                if u.type == C.BASE:
+                    based.add(u.player)
+                    if u.complete:
+                        bases[u.player].append(u)
+                elif u.type == C.MINERAL and u.remaining > 0:
+                    patches.append(u)
+            free.flags.writeable = False    # observations share it
+            self._kept = _Index(bases, patches, free, frozenset(based))
+        return self._kept
 
     def _seen(self, player: int) -> int:
         """The cells in ``player``'s vision, as a cell set."""
@@ -200,36 +226,27 @@ class Game:
     def observe(self, player: int) -> Observation:
         seen = self._seen(player)
         mine, enemy, neutral = self._groups(player, seen)
-        groups = (mine, enemy, neutral)
+        index = self._index()
 
         n = C.MAX_UNITS
-        unit_type = np.zeros((3, n), dtype=np.int32)
-        unit_cont = np.zeros((3, n, C.UNIT_FEATS), dtype=np.float32)
-        unit_mask = np.zeros((3, n), dtype=np.float32)
-        slot_uid = np.full((3, n), -1, dtype=np.int32)
-        for g, members in enumerate(groups):
+        types, feats, uids = [], [], []
+        for members in (mine, enemy, neutral):
             shown = members[:n]
-            if shown:
-                k = len(shown)
-                unit_type[g, :k] = [u.type for u in shown]
-                unit_cont[g, :k] = [_features(u) for u in shown]
-                unit_mask[g, :k] = 1.0
-                slot_uid[g, :k] = [u.uid for u in shown]
+            types.append([u.type for u in shown])
+            feats.append([_features(u) for u in shown])
+            uids.append([u.uid for u in shown])
 
         # neutral < enemy < mine: a later cell overwrites, so each keeps the largest
         relation = tuple((u.x, u.y, value)
                          for members, value in ((neutral, 0.25), (enemy, 0.5), (mine, 1.0))
                          for u in members)
-        free = self._static_free().reshape(-1)
-        free.flags.writeable = False
 
         ps = self.players[player]
         counts = [0] * C.N_CONSTRUCTIBLE
         for u in mine:
             counts[u.type] += 1
         supply_used = sum(cost * counts[t] for t, cost in C.SUPPLY_COST.items())
-        bases = sum(1 for u in mine if u.type == C.BASE and u.complete)
-        supply_cap = min(bases * C.SUPPLY_PER_BASE, C.MAX_UNITS)
+        supply_cap = min(len(index.bases[player]) * C.SUPPLY_PER_BASE, C.MAX_UNITS)
         scalar = np.array([
             min(ps.minerals / 200.0, 2.0),
             supply_used / C.MAX_UNITS,
@@ -247,9 +264,9 @@ class Game:
 
         obs = Observation(
             player=player, step=self.step_count, scalar=scalar,
-            unit_type=unit_type, unit_cont=unit_cont,
-            unit_mask=unit_mask, slot_uid=slot_uid,
-            **self._legality(player, mine, enemy, neutral, free, supply_cap - supply_used),
+            types=tuple(types), feats=tuple(feats), uids=tuple(uids),
+            **self._legality(player, mine, enemy, neutral, index.free,
+                             supply_cap - supply_used),
             height=self._height, seen=seen, relation=relation,
         )
         self._given[player] = obs
@@ -280,14 +297,13 @@ class Game:
         for a, ttype in C.TRAIN_ACTION_TYPE.items():
             legal[a] = (legal[a] and cap_room and C.SUPPLY_COST[ttype] <= supply_room
                         and minerals >= C.MINERAL_COST[ttype])
-        return {"action_mask": np.array(legal), "complete": complete, "free": free,
-                "n_enemy": len(enemy[:n]), "n_neutral": len(neutral[:n])}
+        return {"action_mask": np.array(legal), "complete": complete, "free": free}
 
     # ------------------------------------------------------------ acting
 
     def _resolve_slot(self, obs: Observation, group: int, slot: int) -> Unit | None:
-        uid = int(obs.slot_uid[group, slot])
-        return self.units.get(uid) if uid >= 0 else None
+        uids = obs.uids[group]
+        return self.units.get(uids[slot]) if slot < len(uids) else None
 
     def _validate(self, obs: Observation, act: StructuredAction) -> bool:
         a = act.action_id
@@ -300,7 +316,7 @@ class Game:
             sel = act.selected_units
             if not sel or len(sel) > C.MAX_SELECTED or len(set(sel)) != len(sel):
                 return False
-            complete, types = obs.complete, obs.unit_type[0]
+            complete, types = obs.complete, obs.types[0]
             if not all(0 <= s < len(complete) and complete[s] and SELECTABLE_BY_TYPE[a, types[s]]
                        for s in sel):
                 return False
@@ -414,17 +430,6 @@ class Game:
             if u.move_cd > 0:
                 u.move_cd -= 1
 
-    def _candidates(self):
-        """The complete bases of each player and the patches with minerals left."""
-        bases, patches = ([], []), []
-        for v in self.units.values():
-            if v.type == C.BASE:
-                if v.complete:
-                    bases[v.player].append(v)
-            elif v.type == C.MINERAL and v.remaining > 0:
-                patches.append(v)
-        return bases, patches
-
     def _order_destination(self, u: Unit, order: Order, bases, patches):
         if order.kind == "move":
             return order.x, order.y, 0
@@ -483,13 +488,12 @@ class Game:
         return None
 
     def _substep_move(self) -> None:
-        bases, patches = self._candidates()
+        index = self._index()
+        bases, patches = index.bases, index.patches
         for u in self.units.values():
-            if u.type in _STATIC:
+            if u.type in _STATIC or not u.orders:
                 continue
-            order = u.current_order()
-            if order is None:
-                continue
+            order = u.orders[0]
             if order.kind == "attack" and order.target_uid not in self.units:
                 u.orders.pop(0)
                 continue
@@ -513,9 +517,9 @@ class Game:
         damage: dict[int, int] = {}
         maps = None
         for u in self.units.values():
-            if u.type not in C.MOBILE_TYPES or not u.complete or u.attack_cd > 0:
+            if u.type not in C.MOBILE_TYPES or u.build_progress < 1.0 or u.attack_cd > 0:
                 continue
-            order = u.current_order()
+            order = u.orders[0] if u.orders else None
             target = None
             if order is not None and order.kind == "attack":
                 t = self.units.get(order.target_uid)
@@ -542,14 +546,15 @@ class Game:
                 self._event(t.player, "kill",
                             {"uid": tid, "type": t.type, "by": 1 - t.player})
                 del self.units[tid]
+                self._kept = None
 
     def _substep_harvest(self) -> None:
-        bases = self._candidates()[0]
+        bases = self._index().bases
         for u in self.units.values():
-            if u.type != C.WORKER:
+            if u.type != C.WORKER or not u.orders:
                 continue
-            order = u.current_order()
-            if order is None or order.kind != "harvest":
+            order = u.orders[0]
+            if order.kind != "harvest":
                 continue
             if u.carrying == 0:
                 t = self.units.get(order.target_uid)
@@ -557,6 +562,8 @@ class Game:
                     take = min(C.CARRY_AMOUNT, t.remaining)
                     t.remaining -= take
                     u.carrying = take
+                    if t.remaining == 0:
+                        self._kept = None
             else:
                 base = self._nearest(u, bases[u.player])
                 if base is not None and cheby(u.x, u.y, base.x, base.y) <= 1:
@@ -567,12 +574,12 @@ class Game:
                     u.carrying = 0
 
     def _substep_produce(self) -> None:
-        free = None
         for u in list(self.units.values()):
             building = u.type in C.BUILDING_TYPES
             if building and not u.complete:
                 u.build_progress = min(1.0, u.build_progress + 1.0 / C.BUILD_TIME[u.type])
                 if u.complete:
+                    self._kept = None
                     self._event(u.player, "construct", {"type": u.type, "uid": u.uid})
                 continue
             if building and u.train_queue:
@@ -581,13 +588,12 @@ class Game:
                 if u.train_progress >= C.TRAIN_TIME[ttype]:
                     if self.entity_count(u.player) >= C.MAX_UNITS:
                         continue  # hold until there is room
-                    if free is None:
-                        free = self._static_free()
+                    free = self._index().free
                     sx, sy = u.x, u.y
                     sign = 1 if u.player == 0 else -1
                     for dx, dy in _RING:
                         nx, ny = u.x + sign * dx, u.y + sign * dy
-                        if 0 <= nx < C.GRID and 0 <= ny < C.GRID and free[nx, ny]:
+                        if 0 <= nx < C.GRID and 0 <= ny < C.GRID and free[nx * C.GRID + ny]:
                             sx, sy = nx, ny
                             break
                     unit = self._spawn(ttype, u.player, sx, sy)
@@ -603,8 +609,7 @@ class Game:
                     continue
                 ps = self.players[u.player]
                 cost = C.MINERAL_COST[order.build_type]
-                free = self._static_free()
-                blocked = not free[order.x, order.y]
+                blocked = not self._index().free[order.x * C.GRID + order.y]
                 if blocked or ps.minerals < cost or self.entity_count(u.player) >= C.MAX_UNITS:
                     self._event(u.player, "build_dropped",
                                 {"type": order.build_type,
@@ -617,13 +622,12 @@ class Game:
                                 progress=1.0 / C.BUILD_TIME[order.build_type])
                 self._event(u.player, "build_start", {"type": order.build_type, "uid": b.uid})
                 u.orders.pop(0)
-                free = None
 
     def _check_end(self) -> None:
-        based = {u.player for u in self.units.values() if u.type == C.BASE}
+        based = self._index().based
         if based != {0, 1} or self.step_count >= self.max_steps:
             # the one player left with a base wins; otherwise a draw
-            winner = based.pop() if len(based) == 1 else None
+            winner = next(iter(based)) if len(based) == 1 else None
             self.done = True
             stats = {
                 p: {"minerals": self.players[p].minerals,

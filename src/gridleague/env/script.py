@@ -55,25 +55,28 @@ _PROFILES = {
 }
 
 
+# A building counts complete for the scripts once its progress feature reads
+# 1.0 in float32, the network's view: that is from 1 - 2**-25 up, where
+# float32 rounds to 1.0 (a BARRACKS at 29/30 is 0.9999999999999999).
+_F32_ONE = 1.0 - 2.0 ** -25
+
+
 class _View:
     """Convenience indexing of one observation's my/enemy/neutral groups.
 
-    The types and features of each group's shown units, which fill its
-    leading slots, are read into Python lists once: the scripts look up
-    single slots many times per decision, and a numpy scalar read each time
-    costs more than the conversion. Whether an action may pick a unit is
-    read from the observation's legality factors the same way.
+    The scripts read the types and features of each group's shown units,
+    which fill its leading slots, from the observation's factors: Python
+    lists they look up single slots in many times per decision. Whether an
+    action may pick a unit is read from the observation's legality factors
+    the same way.
     """
 
     def __init__(self, obs: Observation):
         self.legal = obs.action_mask.tolist()
         self.complete = obs.complete
-        self.types, self.cont, slots = [], [], []
-        for g, k in enumerate((len(obs.complete), obs.n_enemy, obs.n_neutral)):
-            slots.append(list(range(k)))
-            self.types.append(obs.unit_type[g, :k].tolist())
-            self.cont.append(obs.unit_cont[g, :k].tolist())
-        self.my_slots, self.enemy_slots, self.neutral_slots = slots
+        self.types, self.cont = obs.types, obs.feats
+        self.my_slots, self.enemy_slots, self.neutral_slots = (
+            list(range(len(t))) for t in obs.types)
 
     def selects(self, action: int, slot: int) -> bool:
         """``select_mask[action, slot]``: ``action`` may pick my unit in ``slot``."""
@@ -83,7 +86,7 @@ class _View:
     def my_of_type(self, *types, complete=True):
         mine, cont = self.types[0], self.cont[0]
         return [s for s in self.my_slots
-                if mine[s] in types and not (complete and cont[s][3] < 1.0)]
+                if mine[s] in types and not (complete and cont[s][3] < _F32_ONE)]
 
     def pos(self, group: int, slot: int) -> tuple[int, int]:
         f = self.cont[group][slot]

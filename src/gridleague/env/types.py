@@ -127,48 +127,91 @@ class StructuredAction:
         return cls(action_id=C.NOOP, delay=delay)
 
 
+def _padded(groups, dtype, fill=0, trailing: tuple = ()) -> np.ndarray:
+    """Per-group values in each group's leading slots, ``fill`` in the rest:
+    (3, MAX_UNITS) + ``trailing``."""
+    out = np.full((3, C.MAX_UNITS) + trailing, fill, dtype=dtype)
+    for g, values in enumerate(groups):
+        if values:
+            out[g, :len(values)] = values
+    return out
+
+
 @dataclass
 class Observation:
     """Per-player view: scalars, padded entity groups, and the factors that
     determine the spatial planes and the legality masks.
 
-    Groups are ordered (mine, enemy, neutral), each padded to MAX_UNITS.
-    ``slot_uid`` maps observation slots back to engine unit ids (-1 = pad).
+    Groups are ordered (mine, enemy, neutral), each padded to MAX_UNITS; a
+    group's shown units fill its leading slots in uid order.
 
-    Stored are the arrays read per unit, ``action_mask``, and the few values
-    that fully determine the rest. ``spatial`` and the per-action legality
-    masks ``select_mask``, ``target_mask`` and ``position_mask`` are derived
-    from them on first read and cached; see the action table for head usage.
-    Scripted play and ``Game._validate`` read the factors, so they build
-    neither; the network builds ``spatial`` when it stacks a batch, and only
-    the rows (``select_row``, ``target_row``, ``position_row``) of the actions
-    it chose.
+    Stored are ``scalar``, ``action_mask`` and the few values that fully
+    determine the rest: per group, the shown units' types, feature tuples
+    and uids (``types``, ``feats``, ``uids``), plus the legality and plane
+    factors below. Derived from them on first read and cached are the unit
+    arrays ``unit_type``, ``unit_cont``, ``unit_mask`` and ``slot_uid``
+    (``slot_uid`` maps observation slots back to engine unit ids, -1 = pad),
+    ``spatial``, and the per-action legality masks ``select_mask``,
+    ``target_mask`` and ``position_mask``; see the action table for head
+    usage. Scripted play, ``Game._validate`` and slot resolution read the
+    factors, so they build none of these; ``ObsBatch`` stacks its unit
+    arrays straight from the factors and reads ``spatial``, and the decoder
+    builds only the rows (``select_row``, ``target_row``, ``position_row``)
+    of the actions it chose.
 
-    ``complete`` is stored, not read from ``unit_cont[..., 3]``: build
+    ``complete`` is stored, not read from the progress feature: build
     progress rises by 1/BUILD_TIME per step, so a BARRACKS reaches
-    0.9999999999999999, which rounds to 1.0 in float32 while the engine still
-    counts the building as incomplete.
+    0.9999999999999999, which rounds to 1.0 in float32 ``unit_cont`` while
+    the engine still counts the building as incomplete.
 
-    Every factor is a value captured at ``observe`` (ints, tuples, and arrays
-    that nothing writes afterwards), so a derived array is the same whenever
-    it is first read.
+    Every factor is a value captured at ``observe`` (ints, tuples, lists and
+    arrays that nothing writes afterwards), so a derived array is the same
+    whenever it is first read.
     """
 
     player: int
     step: int
     scalar: np.ndarray              # (SCALAR_FEATS,) f32
-    unit_type: np.ndarray           # (3, MAX_UNITS) int32
-    unit_cont: np.ndarray           # (3, MAX_UNITS, UNIT_FEATS) f32
-    unit_mask: np.ndarray           # (3, MAX_UNITS) f32 {0,1}
-    slot_uid: np.ndarray            # (3, MAX_UNITS) int32
+    types: tuple[list[int], ...]    # per group: the shown units' types
+    feats: tuple[list[tuple], ...]  # per group: the shown units' UNIT_FEATS features
+    uids: tuple[list[int], ...]     # per group: the shown units' engine ids
     action_mask: np.ndarray         # (N_ACTIONS,) bool
     complete: tuple[bool, ...]      # per shown my-slot: the engine counts the unit complete
     free: np.ndarray                # (G*G,) bool, read-only: no building or patch on the cell
-    n_enemy: int                    # shown enemy slots (the leading slots of group 1)
-    n_neutral: int                  # shown patch slots (the leading slots of group 2)
     height: np.ndarray              # (G, G) f32, read-only: the map's height plane
     seen: int                       # the cells in vision, as a cell set
     relation: tuple[tuple[int, int, float], ...]   # per unit; a later cell overwrites
+
+    @property
+    def n_enemy(self) -> int:
+        """Shown enemy slots (the leading slots of group 1)."""
+        return len(self.types[1])
+
+    @property
+    def n_neutral(self) -> int:
+        """Shown patch slots (the leading slots of group 2)."""
+        return len(self.types[2])
+
+    @cached_property
+    def unit_type(self) -> np.ndarray:
+        """(3, MAX_UNITS) int32."""
+        return _padded(self.types, np.int32)
+
+    @cached_property
+    def unit_cont(self) -> np.ndarray:
+        """(3, MAX_UNITS, UNIT_FEATS) f32."""
+        return _padded(self.feats, np.float32, trailing=(C.UNIT_FEATS,))
+
+    @cached_property
+    def unit_mask(self) -> np.ndarray:
+        """(3, MAX_UNITS) f32 {0,1}."""
+        shown = np.array([len(t) for t in self.types])
+        return (np.arange(C.MAX_UNITS) < shown[:, None]).astype(np.float32)
+
+    @cached_property
+    def slot_uid(self) -> np.ndarray:
+        """(3, MAX_UNITS) int32."""
+        return _padded(self.uids, np.int32, fill=-1)
 
     def select_row(self, a: int) -> np.ndarray:
         """Row ``a`` of ``select_mask``: my complete units of a type ``a`` may pick."""
@@ -176,7 +219,7 @@ class Observation:
         if self.action_mask[a]:
             k = len(self.complete)
             complete = np.array(self.complete, dtype=bool)
-            row[:k] = SELECTABLE_BY_TYPE[a, self.unit_type[0, :k]] & complete
+            row[:k] = SELECTABLE_BY_TYPE[a, self.types[0]] & complete
         return row
 
     def target_row(self, a: int) -> np.ndarray:

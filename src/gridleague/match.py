@@ -189,11 +189,13 @@ def evaluate_match(agent_a, agent_b, n_games: int, seed: int = 0,
     """Win rate of A vs B with a 95% Wilson interval; draws count one half.
 
     Mirrored: each seed is played twice with the sides swapped, so a policy
-    against itself scores exactly 0.5. ``counts`` sums each agent's
-    ``MatchResult.counts`` over its games.
+    against itself scores exactly 0.5; ``n_games`` must therefore be a
+    positive even count. ``counts`` sums each agent's ``MatchResult.counts``
+    over its games.
     """
-    if n_games < 1:
-        raise ValueError("n_games must be >= 1")
+    if n_games < 1 or n_games % 2:
+        raise ValueError(f"n_games must be a positive even count (mirrored pairs), "
+                         f"got {n_games}")
     jobs = []
     for i in range(n_games):
         game_seed = seed + i // 2

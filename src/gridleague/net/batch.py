@@ -7,10 +7,13 @@ cropped group holds no unit at all are left to the group transformer, which
 skips them (see ``net/modules.py``).
 
 Arrays keep the observations' dtypes; the network converts each input once.
-Stacking reads each observation's ``spatial``, which the observation derives
-on first read. Of the per-action legality masks the decoder reads only the
-rows of the actions it chose (``legal_rows``), each built from the
-observation's factors; a batch that is only encoded builds none.
+The per-group unit arrays are filled straight from the observations' factors
+(each group's shown types and feature tuples), not stacked from each
+observation's own padded arrays, which batching never builds. Stacking reads
+each observation's ``spatial``, which the observation derives on first read.
+Of the per-action legality masks the decoder reads only the rows of the
+actions it chose (``legal_rows``), each built from the observation's
+factors; a batch that is only encoded builds none.
 """
 
 from __future__ import annotations
@@ -53,19 +56,24 @@ class ObsBatch:
             raise ValueError("zs length must match observations")
         self.size = n
         self._observations = observations
-        counts = np.array([[int(o.unit_mask[g].sum()) for g in range(3)]
-                           for o in observations])
-        self.group_n = tuple(max(1, int(counts[:, g].max())) for g in range(3))
+        counts = np.array([[len(t) for t in o.types] for o in observations])   # (B, 3)
+        self.group_n = tuple(max(1, int(k)) for k in counts.max(axis=0))
 
         self.scalar = np.stack([np.concatenate([o.scalar, encode_z(z)])
                                 for o, z in zip(observations, zs)])
         self.spatial = np.stack([o.spatial for o in observations])
-        self.unit_type = [np.stack([o.unit_type[g, : self.group_n[g]] for o in observations])
-                          for g in range(3)]
-        self.unit_cont = [np.stack([o.unit_cont[g, : self.group_n[g]] for o in observations])
-                          for g in range(3)]
-        self.unit_mask = [np.stack([o.unit_mask[g, : self.group_n[g]] for o in observations])
-                          for g in range(3)]
+        self.unit_type, self.unit_cont, self.unit_mask = [], [], []
+        for g, k in enumerate(self.group_n):
+            shown = np.arange(k) < counts[:, g, None]           # (B, k): leading slots
+            unit_type = np.zeros((n, k), dtype=np.int32)
+            unit_cont = np.zeros((n, k, C.UNIT_FEATS), dtype=np.float32)
+            if shown.any():
+                # row-major boolean indexing visits rows, then slots, in order
+                unit_type[shown] = [t for o in observations for t in o.types[g]]
+                unit_cont[shown] = [f for o in observations for f in o.feats[g]]
+            self.unit_type.append(unit_type)
+            self.unit_cont.append(unit_cont)
+            self.unit_mask.append(shown.astype(np.float32))
 
     @cached_property
     def action_mask(self) -> np.ndarray:

@@ -229,6 +229,15 @@ def test_evaluate_match_self_play_exact_half_and_errors():
         wilson_interval(0, 0)
 
 
+@pytest.mark.parametrize("n_games", [1, 3])
+def test_evaluate_match_rejects_an_odd_game_count(n_games):
+    """An odd count would play its last seed one way round only, so a policy
+    against itself could score other than one half."""
+    rush = ScriptedAgent("RUSH")
+    with pytest.raises(ValueError, match=f"got {n_games}"):
+        evaluate_match(rush, rush, n_games=n_games, seed=1, max_steps=300)
+
+
 def test_evaluate_match_rush_beats_econ():
     res = evaluate_match(ScriptedAgent("RUSH"), ScriptedAgent("ECON"),
                          n_games=20, seed=9, parallel=10)

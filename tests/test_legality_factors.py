@@ -1,12 +1,15 @@
-"""The masks and planes an observation derives from its factors equal the
-dense arrays the engine used to build in ``observe``.
+"""The arrays an observation derives from its factors equal the dense
+arrays the engine used to build in ``observe``, and the scripts read the
+factors as they read those arrays.
 
-``dense_arrays`` below is that construction, kept as the reference: it reads
-the game's units at the moment of observation, not the observation's
-factors. Hypothesis draws observations from scripted and from random legal
-games on every map, and checks the derived ``select_mask``, ``target_mask``,
-``position_mask`` and ``spatial`` byte for byte, and ``ObsBatch.legal_rows``
-row for row, for every action id, legal or not.
+``dense_arrays`` and ``packed_units`` below are that construction, kept as
+the reference: they read the game's units at the moment of observation, not
+the observation's factors. Hypothesis draws observations from scripted and
+from random legal games on every map, and checks the derived
+``select_mask``, ``target_mask``, ``position_mask``, ``spatial``,
+``unit_type``, ``unit_cont``, ``unit_mask`` and ``slot_uid`` byte for byte,
+``ObsBatch.legal_rows`` row for row, for every action id, legal or not, and
+every script read of ``_View`` against a view of the float32 arrays.
 """
 
 import functools
@@ -16,6 +19,8 @@ from _helpers import random_legal_action
 from hypothesis import given, settings, strategies as st
 
 from gridleague.env import ARCHETYPES, Game, ScriptedPolicy, StructuredAction, constants as C
+from gridleague.env.engine import _features
+from gridleague.env.script import _View
 from gridleague.env.types import cell_grid
 from gridleague.net import ObsBatch
 
@@ -30,7 +35,10 @@ def dense_arrays(game: Game, player: int, action_mask: np.ndarray) -> dict:
     n = C.MAX_UNITS
     seen = game._seen(player)
     mine, enemy, neutral = game._groups(player, seen)
-    free = game._static_free()
+    free = np.ones((C.GRID, C.GRID), dtype=bool)
+    for u in game.units.values():
+        if u.type in C.BUILDING_TYPES or u.type == C.MINERAL:
+            free[u.x, u.y] = False
 
     spatial = np.zeros((C.GRID, C.GRID, C.SPATIAL_CHANNELS), dtype=np.float32)
     spatial[:, :, 0] = game._height
@@ -59,6 +67,25 @@ def dense_arrays(game: Game, player: int, action_mask: np.ndarray) -> dict:
             "target_mask": target_mask, "position_mask": position_mask}
 
 
+def packed_units(game: Game, player: int) -> dict:
+    """The four padded unit arrays, packed from the game's units."""
+    n = C.MAX_UNITS
+    unit_type = np.zeros((3, n), dtype=np.int32)
+    unit_cont = np.zeros((3, n, C.UNIT_FEATS), dtype=np.float32)
+    unit_mask = np.zeros((3, n), dtype=np.float32)
+    slot_uid = np.full((3, n), -1, dtype=np.int32)
+    for g, members in enumerate(game._groups(player, game._seen(player))):
+        shown = members[:n]
+        if shown:
+            k = len(shown)
+            unit_type[g, :k] = [u.type for u in shown]
+            unit_cont[g, :k] = [_features(u) for u in shown]
+            unit_mask[g, :k] = 1.0
+            slot_uid[g, :k] = [u.uid for u in shown]
+    return {"unit_type": unit_type, "unit_cont": unit_cont,
+            "unit_mask": unit_mask, "slot_uid": slot_uid}
+
+
 @functools.cache
 def _pool(source: str) -> tuple:
     """(observation, reference arrays) every third step of both sides of one
@@ -76,7 +103,8 @@ def _pool(source: str) -> tuple:
         while not g.done:
             observations = [g.observe(p) for p in (0, 1)]
             if g.step_count % 3 == 0:
-                pool += [(o, dense_arrays(g, o.player, o.action_mask)) for o in observations]
+                pool += [(o, {**dense_arrays(g, o.player, o.action_mask),
+                              **packed_units(g, o.player)}) for o in observations]
             g.step_env({p: pick[p](observations[p]) for p in (0, 1)})
     return tuple(pool)
 
@@ -113,15 +141,69 @@ def test_legal_rows_are_the_dense_rows_cropped(data):
             np.testing.assert_array_equal(position[i], ref["position_mask"][a])
 
 
-def test_a_barracks_one_step_from_complete_is_not_selectable():
-    """Build progress 29/30 reads 1.0 in float32 features, but the engine
-    still counts the barracks incomplete, and so must the select mask."""
+class _ArrayView(_View):
+    """A script view read from the observation's float32 unit arrays."""
+
+    def __init__(self, obs):
+        self.legal = obs.action_mask.tolist()
+        self.complete = obs.complete
+        self.types, self.cont, slots = [], [], []
+        for g, k in enumerate((len(obs.complete), obs.n_enemy, obs.n_neutral)):
+            slots.append(list(range(k)))
+            self.types.append(obs.unit_type[g, :k].tolist())
+            self.cont.append(obs.unit_cont[g, :k].tolist())
+        self.my_slots, self.enemy_slots, self.neutral_slots = slots
+
+    def my_of_type(self, *types, complete=True):
+        mine, cont = self.types[0], self.cont[0]
+        return [s for s in self.my_slots
+                if mine[s] in types and not (complete and cont[s][3] < 1.0)]
+
+
+def _assert_views_agree(obs) -> None:
+    """Every read the scripts make of ``_View`` gives the float32 arrays' answer."""
+    got, ref = _View(obs), _ArrayView(obs)
+    assert [list(t) for t in got.types] == ref.types
+    assert (got.my_slots, got.enemy_slots, got.neutral_slots) == \
+        (ref.my_slots, ref.enemy_slots, ref.neutral_slots)
+    kinds = [(t,) for t in range(C.N_CONSTRUCTIBLE)] + [C.MILITARY_TYPES, C.BUILDING_TYPES]
+    for types in kinds:
+        for complete in (True, False):
+            assert got.my_of_type(*types, complete=complete) == \
+                ref.my_of_type(*types, complete=complete), (types, complete)
+    for g, slots in enumerate((ref.my_slots, ref.enemy_slots, ref.neutral_slots)):
+        for s in slots:
+            assert got.pos(g, s) == ref.pos(g, s)
+            assert got.idle(g, s) == ref.idle(g, s)
+    for s in ref.my_slots:
+        # the scripts compare the queue length with 1 and 2
+        assert [got.queue_len(s) < k for k in (1, 2)] == [ref.queue_len(s) < k for k in (1, 2)]
+        for a in C.SELECTABLE:
+            assert got.selects(a, s) == ref.selects(a, s)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_script_view_of_the_factors_equals_the_view_of_the_arrays(data):
+    for obs, _ in _draw_batch(data):
+        _assert_views_agree(obs)
+
+
+def _almost_complete_barracks():
+    """A game whose player 0 has a complete barracks and one at 29/30."""
     g = Game(0, "triton_toy")
     g.players[0].minerals = 500
     done = g._spawn(C.BARRACKS, 0, 5, 5)
     almost = g._spawn(C.BARRACKS, 0, 7, 5, progress=1.0 / C.BUILD_TIME[C.BARRACKS])
     while g.units[almost.uid].build_progress + 1.0 / C.BUILD_TIME[C.BARRACKS] < 1.0:
         g.step_env({0: StructuredAction.noop()})
+    return g, done, almost
+
+
+def test_a_barracks_one_step_from_complete_is_not_selectable():
+    """Build progress 29/30 reads 1.0 in float32 features, but the engine
+    still counts the barracks incomplete, and so must the select mask."""
+    g, done, almost = _almost_complete_barracks()
     assert not almost.complete
     obs = g.observe(0)
     slots = {int(uid): s for s, uid in enumerate(obs.slot_uid[0])}
@@ -136,3 +218,15 @@ def test_a_barracks_one_step_from_complete_is_not_selectable():
     act = StructuredAction(C.TRAIN_LIGHT, selected_units=[s_almost])
     assert not g._validate(obs, act)
     assert g._validate(obs, StructuredAction(C.TRAIN_LIGHT, selected_units=[s_done]))
+
+
+def test_the_scripts_count_a_barracks_at_29_of_30_complete_as_float32_does():
+    """The scripts' own completeness test reads the progress feature as the
+    float32 array holds it: 29/30 counts complete there, unlike in the
+    engine's ``complete``."""
+    g, done, almost = _almost_complete_barracks()
+    obs = g.observe(0)
+    s_almost = obs.uids[0].index(almost.uid)
+    assert obs.feats[0][s_almost][3] < 1.0 and not obs.complete[s_almost]
+    assert s_almost in _View(obs).my_of_type(C.BARRACKS)
+    _assert_views_agree(obs)

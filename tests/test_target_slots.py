@@ -12,11 +12,18 @@ from gridleague.net import ObsBatch
 OBS = Game(0, "triton_toy").observe(0)
 
 
+def _with_units(counts, types=None, **factors):
+    """OBS with ``counts[g]`` shown units in group g, of type 0 unless
+    ``types`` (per group) says otherwise."""
+    types = types or [[0] * k for k in counts]
+    return dataclasses.replace(
+        OBS, types=tuple(types),
+        feats=tuple([(0.0,) * C.UNIT_FEATS] * k for k in counts),
+        uids=tuple(list(range(k)) for k in counts), **factors)
+
+
 def _batch(counts) -> ObsBatch:
-    mask = np.zeros_like(OBS.unit_mask)
-    for g, k in enumerate(counts):
-        mask[g, :k] = 1.0
-    return ObsBatch([dataclasses.replace(OBS, unit_mask=mask)])
+    return ObsBatch([_with_units(counts)])
 
 
 @settings(max_examples=200, deadline=None)
@@ -34,14 +41,11 @@ def _with_random_factors(counts, rng):
     """OBS with the first ``counts[g]`` slots of group g valid, and random
     legality factors for them: legal actions, unit types, which of my units
     are complete, and free cells."""
-    mask = (np.arange(C.MAX_UNITS) < np.array(counts)[:, None]).astype(OBS.unit_mask.dtype)
-    return dataclasses.replace(
-        OBS, unit_mask=mask,
-        unit_type=rng.integers(0, C.N_CONSTRUCTIBLE, OBS.unit_type.shape, dtype=np.int32),
+    return _with_units(
+        counts, types=[rng.integers(0, C.N_CONSTRUCTIBLE, k).tolist() for k in counts],
         action_mask=rng.random(C.N_ACTIONS) < 0.5,
         complete=tuple((rng.random(counts[0]) < 0.7).tolist()),
-        free=rng.random(C.GRID * C.GRID) < 0.5,
-        n_enemy=counts[1], n_neutral=counts[2])
+        free=rng.random(C.GRID * C.GRID) < 0.5)
 
 
 @settings(max_examples=100, deadline=None)
