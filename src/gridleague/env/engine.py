@@ -494,9 +494,6 @@ class Game:
             if u.type in _STATIC or not u.orders:
                 continue
             order = u.orders[0]
-            if order.kind == "attack" and order.target_uid not in self.units:
-                u.orders.pop(0)
-                continue
             dest = self._order_destination(u, order, bases, patches)
             if dest is None:
                 u.orders.pop(0)
@@ -602,7 +599,7 @@ class Game:
                     u.train_progress = 0
                 continue
             if u.type == C.WORKER:
-                order = u.current_order()
+                order = u.orders[0] if u.orders else None
                 if order is None or order.kind != "build":
                     continue
                 if cheby(u.x, u.y, order.x, order.y) > 1:
@@ -629,12 +626,5 @@ class Game:
             # the one player left with a base wins; otherwise a draw
             winner = next(iter(based)) if len(based) == 1 else None
             self.done = True
-            stats = {
-                p: {"minerals": self.players[p].minerals,
-                    "harvested": self.players[p].harvested,
-                    "spent": self.players[p].spent,
-                    "entities": self.entity_count(p)}
-                for p in (0, 1)
-            }
-            self.outcome = MatchOutcome(winner=winner, end_step=self.step_count, stats=stats)
+            self.outcome = MatchOutcome(winner=winner, end_step=self.step_count)
             self._event(-1, "end", {"winner": winner, "step": self.step_count})

@@ -51,9 +51,6 @@ class Unit:
     def complete(self) -> bool:
         return self.build_progress >= 1.0
 
-    def current_order(self) -> Order | None:
-        return self.orders[0] if self.orders else None
-
 
 @dataclass
 class PlayerState:
@@ -70,7 +67,6 @@ class PlayerState:
 class MatchOutcome:
     winner: int | None              # 0, 1, or None for a draw
     end_step: int
-    stats: dict
 
 
 @dataclass

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 from ..env import constants as C
 
@@ -12,6 +12,22 @@ from ..env import constants as C
 # (K slots over constructible types + an "empty" category) plus presence bits
 Z_SLOT_VOCAB = C.N_CONSTRUCTIBLE + 1
 Z_DIM = C.BUILD_ORDER_K * Z_SLOT_VOCAB + C.N_CONSTRUCTIBLE
+
+# The game's sizes that fix the network's shapes and decoding. The net reads
+# them from the game's constants; the architecture hash covers them under
+# these names, so a change to the game changes the hash.
+_GAME_SIZES = {
+    "grid": C.GRID,
+    "spatial_channels": C.SPATIAL_CHANNELS,
+    "max_units": C.MAX_UNITS,
+    "n_actions": C.N_ACTIONS,
+    "delay_vocab": C.DELAY_CHOICES,
+    "max_select": C.MAX_SELECTED,
+    "type_vocab": len(C.TYPE_NAMES),
+    "cont_feats": C.UNIT_FEATS,
+    "scalar_dim": C.SCALAR_FEATS + Z_DIM,
+    "head_usage": [[a, sorted(C.HEAD_USAGE[a])] for a in range(C.N_ACTIONS)],
+}
 
 
 @dataclass(frozen=True)
@@ -23,24 +39,13 @@ class NetConfig:
     ff_width: int = 128            # 2 * d_model; no layer norm anywhere
     pool_queries: int = 4
     lstm_width: int = 128
-    grid: int = C.GRID
-    spatial_channels: int = C.SPATIAL_CHANNELS
-    max_units: int = C.MAX_UNITS
-    n_actions: int = C.N_ACTIONS
-    delay_vocab: int = C.DELAY_CHOICES
-    max_select: int = C.MAX_SELECTED
     value_channels: int = 3        # win/loss + build-order z + built-units z
-    type_vocab: int = len(C.TYPE_NAMES)
     type_emb: int = 16
     owner_emb: int = 8
-    cont_feats: int = C.UNIT_FEATS
-    scalar_dim: int = C.SCALAR_FEATS + Z_DIM
     action_emb: int = 64
     pos_hidden: int = 256
     conv1_channels: int = 8
     conv2_channels: int = 16
-    head_usage: tuple = field(default_factory=lambda: tuple(
-        (a, tuple(sorted(C.HEAD_USAGE[a]))) for a in range(C.N_ACTIONS)))
 
     @property
     def attn_width(self) -> int:
@@ -48,7 +53,7 @@ class NetConfig:
 
     @property
     def spatial_skip_dim(self) -> int:
-        g1 = (self.grid - 3) // 2 + 1
+        g1 = (C.GRID - 3) // 2 + 1
         g2 = (g1 - 3) // 2 + 1
         return g2 * g2 * self.conv2_channels
 
@@ -58,6 +63,6 @@ class NetConfig:
         return 2 * self.d_model + 3 * pooled
 
     def arch_hash(self) -> int:
-        blob = json.dumps(asdict(self), sort_keys=True, default=list).encode()
+        blob = json.dumps(asdict(self) | _GAME_SIZES, sort_keys=True).encode()
         digest = hashlib.sha256(blob).digest()
         return int.from_bytes(digest[:8], "little")

@@ -38,8 +38,8 @@ class ParamStore:
         self.params[name] = p
         return p
 
-    def matrix(self, name: str, fan_in: int, fan_out: int, scale: float | None = None) -> Tensor:
-        s = scale if scale is not None else 1.0 / np.sqrt(fan_in)
+    def matrix(self, name: str, fan_in: int, fan_out: int) -> Tensor:
+        s = 1.0 / np.sqrt(fan_in)
         return self._add(name, self.rng.uniform(-s, s, (fan_in, fan_out)))
 
     def bias(self, name: str, dim: int) -> Tensor:

@@ -27,7 +27,7 @@ from ..env import constants as C
 from ..env.types import StructuredAction
 from ..tensor import ResidualLSTM, Tensor
 from .batch import ObsBatch
-from .config import NetConfig
+from .config import Z_DIM, NetConfig
 from .modules import (
     AttentionPool,
     GroupTransformer,
@@ -86,18 +86,18 @@ class PolicyNet:
         store = ParamStore(rng, dtype=dtype)
         d = cfg.d_model
 
-        self.scalar_enc = MLP(store, "scalar_enc", cfg.scalar_dim, d, d)
+        self.scalar_enc = MLP(store, "scalar_enc", C.SCALAR_FEATS + Z_DIM, d, d)
         self.conv1_w = store._add("spatial.conv1.w", rng.uniform(
-            -0.2, 0.2, (3, 3, cfg.spatial_channels, cfg.conv1_channels)))
+            -0.2, 0.2, (3, 3, C.SPATIAL_CHANNELS, cfg.conv1_channels)))
         self.conv1_b = store.bias("spatial.conv1.b", cfg.conv1_channels)
         self.conv2_w = store._add("spatial.conv2.w", rng.uniform(
             -0.2, 0.2, (3, 3, cfg.conv1_channels, cfg.conv2_channels)))
         self.conv2_b = store.bias("spatial.conv2.b", cfg.conv2_channels)
         self.spatial_lin = Linear(store, "spatial.lin", cfg.spatial_skip_dim, d)
 
-        self.type_table = store.table("units.type_emb", cfg.type_vocab, cfg.type_emb)
+        self.type_table = store.table("units.type_emb", len(C.TYPE_NAMES), cfg.type_emb)
         self.owner_table = store.table("units.owner_emb", 3, cfg.owner_emb)
-        unit_in = cfg.type_emb + cfg.owner_emb + cfg.cont_feats
+        unit_in = cfg.type_emb + cfg.owner_emb + C.UNIT_FEATS
         self.unit_lin = Linear(store, "units.lin", unit_in, d)
 
         self.transformer = GroupTransformer(store, cfg)
@@ -109,9 +109,9 @@ class PolicyNet:
 
         w = cfg.lstm_width
         e = cfg.action_emb
-        self.action_emb = store.table("dec.action_emb", cfg.n_actions, e, scale=0.5)
-        self.action_head = Linear(store, "dec.action", w, cfg.n_actions)
-        self.delay_head = MLP(store, "dec.delay", w + e, d, cfg.delay_vocab)
+        self.action_emb = store.table("dec.action_emb", C.N_ACTIONS, e, scale=0.5)
+        self.action_head = Linear(store, "dec.action", w, C.N_ACTIONS)
+        self.delay_head = MLP(store, "dec.delay", w + e, d, C.DELAY_CHOICES)
         self.queued_head = MLP(store, "dec.queued", w + e, d, 2)
         self.su_query = Linear(store, "dec.su.query", w + e + d, d)
         self.su_w = store.matrix("dec.su.w", 2 * d, e)
@@ -119,7 +119,7 @@ class PolicyNet:
         self.tu_query = Linear(store, "dec.tu.query", w + e + d, d)
         self.tu_w = store.matrix("dec.tu.w", 2 * d, e)
         pos_in = w + e + d + cfg.spatial_skip_dim
-        self.pos_head = MLP(store, "dec.pos", pos_in, cfg.pos_hidden, cfg.grid * cfg.grid)
+        self.pos_head = MLP(store, "dec.pos", pos_in, cfg.pos_hidden, C.GRID * C.GRID)
         self.value_head = MLP(store, "dec.value", w, d, cfg.value_channels)
 
         self.params = store.params
@@ -150,12 +150,6 @@ class PolicyNet:
 
     # -------------------------------------------------------------- encoders
 
-    def encode_scalar(self, scalar: np.ndarray) -> Tensor:
-        if scalar.shape[-1] != self.cfg.scalar_dim:
-            raise T.ShapeError(f"encode_scalar: expected width {self.cfg.scalar_dim}, "
-                               f"got {scalar.shape[-1]}")
-        return self.scalar_enc(Tensor(scalar.astype(self.dtype, copy=False)))
-
     def encode_spatial(self, spatial: np.ndarray) -> tuple[Tensor, Tensor]:
         """Returns (encoded vector, flattened conv skip features)."""
         x = Tensor(spatial.astype(self.dtype, copy=False))
@@ -177,7 +171,7 @@ class PolicyNet:
         return self.transformer(feats, masks), masks
 
     def encode(self, batch: ObsBatch):
-        scalar_vec = self.encode_scalar(batch.scalar)
+        scalar_vec = self.scalar_enc(Tensor(batch.scalar.astype(self.dtype, copy=False)))
         spatial_vec, skip = self.encode_spatial(batch.spatial)
         group_feats, masks = self.encode_units(batch)
         pooled = [self.pools[g](group_feats[g], masks[g]) for g in range(3)]
@@ -218,7 +212,6 @@ class PolicyNet:
             raise ValueError(f"unknown decode mode {mode!r}")
         if mode == "teacher" and forced is None:
             raise ValueError("teacher mode needs forced actions")
-        cfg = self.cfg
         n = core_out.shape[0]
         if mode == "sample":
             if uniforms is None or uniforms.shape != (n, N_DECISION_DRAWS):
@@ -256,7 +249,7 @@ class PolicyNet:
 
         # selected units: autoregressive pointer with stop token; the pointer
         # weights are split into query and key halves and the keys projected once
-        d = cfg.d_model
+        d = self.cfg.d_model
         n0 = batch.group_n[0]
         my_feats = group_feats[0]
         stop_key = T.broadcast_to(self.su_stop, (n, 1, d))
@@ -274,7 +267,7 @@ class PolicyNet:
             return T.mul(sum_emb, Tensor(scale.astype(self.dtype)))
 
         lp_su = Tensor(np.zeros(n, dtype=self.dtype))
-        for s in range(cfg.max_select):
+        for s in range(C.MAX_SELECTED):
             if not active.any():
                 break
             q = T.relu(self.su_query(T.concat([cond, mean_selected()], axis=1)))
@@ -308,7 +301,7 @@ class PolicyNet:
         forced_t = teacher_ids(lambda i, a: batch.global_to_local_target(a.target_unit)
                                if used_tu[i] and a.target_unit is not None else 0)
         tu_ids, head_lp["target_unit"] = choose(
-            "target_unit", scores_t, tmask, forced_t, 3 + cfg.max_select, used_tu)
+            "target_unit", scores_t, tmask, forced_t, 3 + C.MAX_SELECTED, used_tu)
 
         # target position over the grid, conditioned on conv skip features
         used_p = _USAGE[C.HEAD_TARGET_POSITION][ids]
@@ -317,7 +310,7 @@ class PolicyNet:
                                if used_p[i] and a.target_position is not None else 0)
         pos_ids, head_lp["target_position"] = choose(
             "target_position", self.pos_head(T.concat([cond_sel, skip], axis=1)), pmask,
-            forced_p, 4 + cfg.max_select, used_p)
+            forced_p, 4 + C.MAX_SELECTED, used_p)
 
         joint = lp_action
         for name in ("delay", "queued", "selected_units", "target_unit", "target_position"):

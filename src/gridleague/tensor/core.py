@@ -363,9 +363,7 @@ def slice_axis(a, axis: int, start: int, stop: int) -> Tensor:
     return _make(a.data[idx], (a,), "slice_axis", backward)
 
 
-def reshape(a, *shape) -> Tensor:
-    if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-        shape = tuple(shape[0])
+def reshape(a, shape: tuple) -> Tensor:
     try:
         data = a.data.reshape(shape)
     except ValueError:

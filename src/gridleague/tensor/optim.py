@@ -17,7 +17,6 @@ class Adam:
         self.t = 0
         self._m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self._v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
-        self._stepped: set[str] = set()     # parameters that have had a gradient
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -30,8 +29,8 @@ class Adam:
         A parameter whose grad is None takes a zero gradient: its moments
         decay and it moves by momentum alone, so an update does not depend on
         whether an op that would give it exact zeros was built. One that has
-        never had a gradient is skipped: its moments are zero, so its update
-        would be exactly 0.
+        never had a gradient keeps its bytes: its moments are zero, so its
+        update is exactly 0.
         """
         sq = 0.0
         for p in self.params.values():
@@ -50,13 +49,9 @@ class Adam:
         for k, p in self.params.items():
             g = p.grad
             if g is None:
-                if k not in self._stepped:
-                    continue
                 g = np.zeros_like(p.data)
-            else:
-                self._stepped.add(k)
-                if scale != 1.0:
-                    g = g * scale
+            elif scale != 1.0:
+                g = g * scale
             m = self._m[k]
             v = self._v[k]
             m *= self.beta1
