@@ -7,29 +7,37 @@ fully determines a trajectory, bit for bit.
 
 ``Game.units`` is always in ascending uid order without sorting: uids only
 grow, ``_spawn`` appends, and ``del`` keeps the order of the rest. Code that
-spawns while it iterates walks a ``list(...)`` snapshot, so new units wait
-for the next step.
+spawns while it iterates walks a list fixed before it started, so new units
+wait for the next step.
 
 Lookups over units use indexes instead of a scan of every unit per query.
 
 The kept index (``_index``) holds what changes only when a unit appears or
 disappears or a building or patch changes state: the complete bases of each
 player, the patches with minerals left, the flat free-cell grid (no building
-or patch on the cell) and the players that own a base, complete or not.
-``_spawn``, a death in attack, a building completing in produce and a patch
-depleting in harvest drop it, and the next read rebuilds it. So the index
-lives across steps, and every observation between two rebuilds shares one
-read-only ``free`` array. Harvesters look up where to deposit and which
-patch to mine next in it, ``_check_end`` reads who still owns a base, and
-producers and ``observe`` read the free grid. Code that edits ``units``
-or a unit's state directly leaves the index stale until its next rebuild.
+or patch on the cell) and whether any cell is free, the players that own a
+base, complete or not, each player's building cells, and, in uid order, the
+mobile units, the workers and the producers (both players' buildings and the
+workers). ``_spawn``, a death in attack, a building completing in produce and
+a patch depleting in harvest drop it, and the next read rebuilds it. So the
+index lives across steps, and every observation between two rebuilds shares
+one read-only ``free`` array. Each sub-step walks only the list of the units
+it acts on: cooldowns, move and attack the mobile units (no other unit has a
+cooldown, an order or an attack), harvest the workers, produce the producers
+as they were at the start of the sub-step (a spawn drops the index, not the
+list, so new units wait for the next step). Harvesters look up where to
+deposit and which patch to mine next in it, ``_check_end`` reads who still
+owns a base, and producers and ``observe`` read the free grid. Code that
+edits ``units`` or a unit's state directly leaves the index stale until its
+next rebuild.
 
-Attack builds its own lookup per step, because units move every step: per
-player, a map from cell to the lowest-uid unit there and the set of
-occupied cells (``_cell_maps``, built at the first idle military unit),
-where idle military units find a target in range: the set rules out most
-of them at once, the map's Chebyshev rings 0..range find the rest. Units
-die only at the end of attack, after every target is chosen.
+Idle military units auto-target from per-player occupied-cell sets, built at
+the first such unit of an attack sub-step from the index's building cells and
+one pass over the mobile units (units move every step). A unit's range square
+rules out most enemies at once; only when it meets the enemy's set is that
+player's map from cell to lowest-uid unit built (at most once per sub-step)
+and its Chebyshev rings 0..range scanned. Units die only at the end of
+attack, after every target is chosen.
 
 A cell set is an int with bit ``x * GRID + y`` set for each cell (x, y) in
 it. A player's vision is the union of its units' ``_square``s, and whether
@@ -38,11 +46,14 @@ an enemy is seen is one bit of it.
 ``observe`` stores the factors that determine an observation's unit arrays,
 spatial planes and per-action legality masks, not the dense arrays (see
 ``Observation``). ``_validate``, slot resolution and the scripts read the
-factors, so scripted play builds none of them.
+factors, so scripted play builds none of them. The action mask depends on a
+few facts only (``_action_mask``), so observations with the same facts share
+one read-only mask, and the games of one map share one height plane.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 from typing import NamedTuple
 
@@ -78,7 +89,53 @@ def _square(r: int, x: int, y: int) -> int:
     return sum(row << (c * C.GRID) for c in range(x0, x1))
 
 
-_STATIC = frozenset(C.BUILDING_TYPES + (C.MINERAL,))    # never move, block building sites
+@functools.cache        # one per map variant
+def _height_plane(variant: str) -> np.ndarray:
+    """Each cell's Chebyshev distance to the nearest patch, over GRID; read-only."""
+    layout = C.MAP_VARIANTS[variant]
+    xs = np.arange(C.GRID)
+    d = np.min([np.maximum(abs(xs[:, None] - px), abs(xs[None, :] - py))
+                for px, py in layout["minerals"][0] + layout["minerals"][1]], axis=0)
+    h = (d / C.GRID).astype(np.float32)
+    h.flags.writeable = False       # every observation of every such game shares it
+    return h
+
+
+_MINERAL_COSTS = sorted(set(C.MINERAL_COST.values()))
+_SUPPLY_COSTS = sorted(set(C.SUPPLY_COST.values()))
+
+
+def _covered(costs: list[int], amount: int) -> int:
+    """The largest of the ascending ``costs`` that ``amount`` covers, or 0."""
+    i = bisect.bisect_right(costs, amount)
+    return costs[i - 1] if i else 0
+
+
+@functools.lru_cache(maxsize=4096)
+def _action_mask(pickable: int, owned: int, enemy: bool, patch: bool, cap_room: bool,
+                 any_free: bool, afford: int, fits: int) -> np.ndarray:
+    """The action mask of one legality state, read-only and shared.
+
+    ``pickable`` and ``owned`` are type bitmasks (bit t for type t) of the
+    complete shown units and the complete owned units; ``afford`` and
+    ``fits`` are the largest mineral and supply costs (see ``_covered``) that
+    the minerals and the supply room cover.
+    """
+    # an action needs a unit that may carry it out, and then its own conditions
+    legal = [any(pickable >> t & 1 for t in C.SELECTABLE.get(a, ())) for a in range(C.N_ACTIONS)]
+    legal[C.NOOP] = True
+    legal[C.ATTACK] = legal[C.ATTACK] and enemy
+    legal[C.HARVEST] = legal[C.HARVEST] and patch
+    for a, btype in C.BUILD_ACTION_TYPE.items():
+        req = C.TECH_REQUIREMENT[btype]
+        legal[a] = (legal[a] and cap_room and C.MINERAL_COST[btype] <= afford
+                    and (req is None or owned >> req & 1) and any_free)
+    for a, ttype in C.TRAIN_ACTION_TYPE.items():
+        legal[a] = (legal[a] and cap_room and C.SUPPLY_COST[ttype] <= fits
+                    and C.MINERAL_COST[ttype] <= afford)
+    mask = np.array(legal, dtype=bool)
+    mask.flags.writeable = False    # observations share it
+    return mask
 
 
 def _features(u: Unit) -> tuple:
@@ -96,7 +153,12 @@ class _Index(NamedTuple):
     bases: tuple[list[Unit], list[Unit]]    # each player's complete bases, uid order
     patches: list[Unit]                     # the patches with minerals left, uid order
     free: np.ndarray                        # (G*G,) bool, read-only: no building or patch
+    any_free: bool                          # some cell is free
     based: frozenset[int]                   # the players that own a base, complete or not
+    built: tuple[int, int]                  # each player's building cells, as a cell set
+    mobile: list[Unit]                      # the units of MOBILE_TYPES, uid order
+    workers: list[Unit]                     # uid order
+    producers: list[Unit]                   # both players' buildings and the workers, uid order
 
 
 class Game:
@@ -119,21 +181,10 @@ class Game:
         self._next_uid = 0
         self._given: list[Observation | None] = [None, None]   # last observe() per player
         self._kept: _Index | None = None        # see _index; None once stale
-        self._height = self._height_plane(variant)
+        self._height = _height_plane(variant)
         self._setup(variant)
 
     # ------------------------------------------------------------ construction
-
-    def _height_plane(self, variant: str) -> np.ndarray:
-        layout = C.MAP_VARIANTS[variant]
-        patches = layout["minerals"][0] + layout["minerals"][1]
-        h = np.zeros((C.GRID, C.GRID), dtype=np.float32)
-        for x in range(C.GRID):
-            for y in range(C.GRID):
-                d = min(cheby(x, y, px, py) for px, py in patches)
-                h[x, y] = d / C.GRID
-        h.flags.writeable = False       # every observation of the game shares it
-        return h
 
     def _spawn(self, type_id: int, player: int, x: int, y: int, *,
                progress: float = 1.0, remaining: int = 0) -> Unit:
@@ -182,20 +233,31 @@ class Game:
     def _index(self) -> _Index:
         """The kept index, rebuilt first if it is stale."""
         if self._kept is None:
-            bases, patches, based = ([], []), [], set()
+            bases, patches, based, built = ([], []), [], set(), [0, 0]
+            mobile, workers, producers = [], [], []
             free = np.ones(C.GRID * C.GRID, dtype=bool)
             for u in self.units.values():
-                if u.type not in _STATIC:
+                if u.type in C.MOBILE_TYPES:
+                    mobile.append(u)
+                    if u.type == C.WORKER:
+                        workers.append(u)
+                        producers.append(u)
                     continue
-                free[u.x * C.GRID + u.y] = False
+                cell = u.x * C.GRID + u.y
+                free[cell] = False
+                if u.type == C.MINERAL:
+                    if u.remaining > 0:
+                        patches.append(u)
+                    continue
+                producers.append(u)
+                built[u.player] |= 1 << cell
                 if u.type == C.BASE:
                     based.add(u.player)
                     if u.complete:
                         bases[u.player].append(u)
-                elif u.type == C.MINERAL and u.remaining > 0:
-                    patches.append(u)
             free.flags.writeable = False    # observations share it
-            self._kept = _Index(bases, patches, free, frozenset(based))
+            self._kept = _Index(bases, patches, free, bool(free.any()), frozenset(based),
+                                tuple(built), mobile, workers, producers)
         return self._kept
 
     def _seen(self, player: int) -> int:
@@ -265,39 +327,32 @@ class Game:
         obs = Observation(
             player=player, step=self.step_count, scalar=scalar,
             types=tuple(types), feats=tuple(feats), uids=tuple(uids),
-            **self._legality(player, mine, enemy, neutral, index.free,
+            **self._legality(player, mine, enemy, neutral, index.any_free,
                              supply_cap - supply_used),
-            height=self._height, seen=seen, relation=relation,
+            free=index.free, height=self._height, seen=seen, relation=relation,
         )
         self._given[player] = obs
         return obs
 
-    def _legality(self, player: int, mine, enemy, neutral, free: np.ndarray,
+    def _legality(self, player: int, mine, enemy, neutral, any_free: bool,
                   supply_room: int) -> dict:
-        """``action_mask`` and the factors of the legality masks (see
-        ``Observation``). ``free`` (flat free-cell grid) and ``supply_room``
-        come from ``observe``."""
+        """``action_mask`` and ``complete`` (see ``Observation``). ``any_free``
+        and ``supply_room`` come from ``observe``."""
         n = C.MAX_UNITS
-        minerals = self.players[player].minerals
         complete = tuple(u.complete for u in mine[:n])
-        pickable = {u.type for u, done in zip(mine, complete) if done}
-        cap_room = len(mine) < C.MAX_UNITS
-        owned_complete = {u.type for u in mine if u.complete}
-        any_free = bool(free.any())
-
-        # an action needs a unit that may carry it out, and then its own conditions
-        legal = [not pickable.isdisjoint(C.SELECTABLE.get(a, ())) for a in range(C.N_ACTIONS)]
-        legal[C.NOOP] = True
-        legal[C.ATTACK] = legal[C.ATTACK] and bool(enemy)
-        legal[C.HARVEST] = legal[C.HARVEST] and bool(neutral)
-        for a, btype in C.BUILD_ACTION_TYPE.items():
-            req = C.TECH_REQUIREMENT[btype]
-            legal[a] = (legal[a] and cap_room and minerals >= C.MINERAL_COST[btype]
-                        and (req is None or req in owned_complete) and any_free)
-        for a, ttype in C.TRAIN_ACTION_TYPE.items():
-            legal[a] = (legal[a] and cap_room and C.SUPPLY_COST[ttype] <= supply_room
-                        and minerals >= C.MINERAL_COST[ttype])
-        return {"action_mask": np.array(legal), "complete": complete, "free": free}
+        pickable = 0
+        for u, done in zip(mine, complete):
+            if done:
+                pickable |= 1 << u.type
+        owned = pickable
+        for u in mine[n:]:
+            if u.complete:
+                owned |= 1 << u.type
+        minerals = self.players[player].minerals
+        mask = _action_mask(pickable, owned, bool(enemy), bool(neutral), len(mine) < C.MAX_UNITS,
+                            any_free, _covered(_MINERAL_COSTS, minerals),
+                            _covered(_SUPPLY_COSTS, supply_room))
+        return {"action_mask": mask, "complete": complete}
 
     # ------------------------------------------------------------ acting
 
@@ -424,7 +479,7 @@ class Game:
         self._check_end()
 
     def _tick_cooldowns(self) -> None:
-        for u in self.units.values():
+        for u in self._index().mobile:
             if u.attack_cd > 0:
                 u.attack_cd -= 1
             if u.move_cd > 0:
@@ -462,22 +517,26 @@ class Game:
                 best, best_d = v, d
         return best
 
-    def _cell_maps(self) -> list[tuple[dict, int]]:
-        """Per player, each occupied cell's lowest-uid unit, and the occupied cell set."""
-        cells, occupied = ({}, {}), [0, 0]
+    @staticmethod
+    def _occupied(index: _Index) -> list[int]:
+        """Per player, the cells its units stand on, as a cell set."""
+        occupied = list(index.built)
+        for v in index.mobile:
+            occupied[v.player] |= 1 << (v.x * C.GRID + v.y)
+        return occupied
+
+    def _cell_map(self, player: int) -> dict:
+        """Each cell that ``player``'s units stand on, mapped to its lowest-uid unit there."""
+        cells = {}
         for v in self.units.values():
-            if v.player >= 0:
-                cells[v.player].setdefault((v.x, v.y), v)
-                occupied[v.player] |= 1 << (v.x * C.GRID + v.y)
-        return [(cells[p], occupied[p]) for p in (0, 1)]
+            if v.player == player:
+                cells.setdefault((v.x, v.y), v)
+        return cells
 
     @staticmethod
-    def _in_range(u: Unit, cells: dict, occupied: int) -> Unit | None:
+    def _in_range(u: Unit, cells: dict) -> Unit | None:
         """The closest unit of ``cells`` within ``u``'s range; ties go to the lowest uid."""
-        reach = C.UNIT_RANGE[u.type]
-        if not occupied & _square(reach, u.x, u.y):
-            return None                 # nothing in range: most calls end here
-        for ring in _RINGS[:reach + 1]:
+        for ring in _RINGS[:C.UNIT_RANGE[u.type] + 1]:
             best = None
             for dx, dy in ring:
                 v = cells.get((u.x + dx, u.y + dy))
@@ -490,8 +549,8 @@ class Game:
     def _substep_move(self) -> None:
         index = self._index()
         bases, patches = index.bases, index.patches
-        for u in self.units.values():
-            if u.type in _STATIC or not u.orders:
+        for u in index.mobile:
+            if not u.orders:
                 continue
             order = u.orders[0]
             dest = self._order_destination(u, order, bases, patches)
@@ -512,9 +571,10 @@ class Game:
 
     def _substep_attack(self) -> None:
         damage: dict[int, int] = {}
-        maps = None
-        for u in self.units.values():
-            if u.type not in C.MOBILE_TYPES or u.build_progress < 1.0 or u.attack_cd > 0:
+        index = self._index()
+        occupied = cells = None
+        for u in index.mobile:
+            if u.attack_cd > 0:
                 continue
             order = u.orders[0] if u.orders else None
             target = None
@@ -524,8 +584,13 @@ class Game:
                     target = t
             elif order is None and u.type in C.MILITARY_TYPES:
                 # idle military units fight back on their own
-                maps = maps or self._cell_maps()
-                target = self._in_range(u, *maps[1 - u.player])
+                if occupied is None:
+                    occupied, cells = self._occupied(index), [None, None]
+                foe = 1 - u.player
+                if occupied[foe] & _square(C.UNIT_RANGE[u.type], u.x, u.y):
+                    if cells[foe] is None:
+                        cells[foe] = self._cell_map(foe)
+                    target = self._in_range(u, cells[foe])
             if target is None:
                 continue
             dmg = C.UNIT_DMG[u.type]
@@ -546,9 +611,10 @@ class Game:
                 self._kept = None
 
     def _substep_harvest(self) -> None:
-        bases = self._index().bases
-        for u in self.units.values():
-            if u.type != C.WORKER or not u.orders:
+        index = self._index()
+        bases = index.bases
+        for u in index.workers:
+            if not u.orders:
                 continue
             order = u.orders[0]
             if order.kind != "harvest":
@@ -571,7 +637,7 @@ class Game:
                     u.carrying = 0
 
     def _substep_produce(self) -> None:
-        for u in list(self.units.values()):
+        for u in self._index().producers:    # a spawn drops the index, not this list
             building = u.type in C.BUILDING_TYPES
             if building and not u.complete:
                 u.build_progress = min(1.0, u.build_progress + 1.0 / C.BUILD_TIME[u.type])
