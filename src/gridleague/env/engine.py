@@ -184,6 +184,14 @@ class Game:
         self._height = _height_plane(variant)
         self._setup(variant)
 
+    def __getstate__(self) -> dict:
+        """Without the caches and the height plane that its map's games share."""
+        return {k: v for k, v in self.__dict__.items() if k not in ("_kept", "_given", "_height")}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state, _kept=None, _given=[None, None],
+                             _height=_height_plane(state["variant"]))
+
     # ------------------------------------------------------------ construction
 
     def _spawn(self, type_id: int, player: int, x: int, y: int, *,
@@ -396,7 +404,8 @@ class Game:
         obs = self._given[player]
         if obs is None or obs.step != self.step_count:
             obs = self.observe(player)
-        self._event(player, "action", {"action": act.to_dict()})
+        if self.record_events:      # the action event updates no counter
+            self._event(player, "action", {"action": act.to_dict()})
         if not self._validate(obs, act):
             self._event(player, "illegal_action", {"action": act.to_dict()})
             return

@@ -149,13 +149,15 @@ def replay_actions(events) -> dict[int, dict[int, StructuredAction]]:
     return schedule
 
 
-def rerun(header: dict, events, on_decision=None) -> Game:
+def rerun(header: dict, events, on_decision=None, record_events: bool = True) -> Game:
     """Re-drive a fresh engine with the recorded action stream.
 
     ``on_decision(step, player, obs, action)`` fires for every recorded
-    action with the observation the actor saw.
+    action with the observation the actor saw. ``record_events`` is passed
+    to the fresh ``Game``; the counters count either way.
     """
-    game = Game(header["seed"], header["variant"], max_steps=header["max_steps"])
+    game = Game(header["seed"], header["variant"], max_steps=header["max_steps"],
+                record_events=record_events)
     schedule = replay_actions(events)
     while not game.done:
         acts = schedule.get(game.step_count)

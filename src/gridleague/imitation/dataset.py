@@ -144,7 +144,7 @@ def load_trajectory(dataset_dir, entry: dict, sides: Sequence[int]) -> list[Traj
             obs_list.append(obs)
             act_list.append(action)
 
-    rerun(header, events, on_decision=hook)
+    rerun(header, events, on_decision=hook, record_events=False)
     return [Trajectory(observations=captured[side][0], actions=captured[side][1],
                        z=extract_statistic(events, side),
                        archetype=entry["archetypes"][side],

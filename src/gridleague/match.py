@@ -15,10 +15,21 @@ observation and recurrent state, and each side draws its randomness only
 from its own stream, seeded from (game seed, side). The same seeding makes
 swapping which policy sits on which side replay identical games when the
 policies are the same (the mirrored-seed evaluation trick).
+
+Shards: with k = min(usable CPUs, jobs, ``parallel``) above 1, the caller
+plays the first of k contiguous shards of the job list and k - 1 forked
+children the others, each through the one loop above with at most
+``parallel // k`` live games, and the results equal those of one process.
+Meanwhile OpenBLAS runs one thread per process: at two threads each, shards
+on a 2-core machine ran ten times slower than one process. With one usable
+CPU, or no OpenBLAS whose thread count can be set, the caller plays every job.
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
+import pickle
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -109,11 +120,109 @@ class _LiveMatch:
                            end_step=g.outcome.end_step, game=g, counts=counts)
 
 
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _openblas_threads():
+    """(get, set, stop) of the OpenBLAS this process loaded, or None: get and
+    set its thread count, and stop its thread pool (None where not exported)."""
+    with open("/proc/self/maps") as f:
+        libs = sorted({line.split()[-1] for line in f if "openblas" in line.lower()})
+    for lib in libs:
+        dll = ctypes.CDLL(lib)
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                     "openblas_{}_num_threads"):
+            if hasattr(dll, name.format("get")) and hasattr(dll, name.format("set")):
+                get, set_ = getattr(dll, name.format("get")), getattr(dll, name.format("set"))
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                stop = getattr(dll, "blas_thread_shutdown_", None)
+                if stop is not None:
+                    stop.argtypes, stop.restype = [], ctypes.c_int
+                return get, set_, stop
+    return None
+
+
 def run_matches(jobs: list[MatchJob], parallel: int = 32) -> list[MatchResult]:
     """Play every job to completion, at most ``parallel`` at a time; returns
-    results in job order."""
+    results in job order. On more than one usable CPU the jobs are played in
+    shards, one process each at one OpenBLAS thread, with the same results;
+    with one, or no settable OpenBLAS, all here (see the module docstring)."""
     if parallel < 1:
         raise ValueError(f"parallel must be >= 1, got {parallel}")
+    k = min(_usable_cpus(), len(jobs), parallel)
+    blas = _openblas_threads() if k > 1 else None
+    return _run_shard(jobs, parallel) if blas is None else _run_shards(jobs, parallel // k, k, blas)
+
+
+def _run_shards(jobs: list[MatchJob], parallel: int, k: int, blas) -> list[MatchResult]:
+    """Play the first shard here and the others in forked children, which
+    share the nets and jobs without pickling them; OpenBLAS's thread count
+    is restored and every child reaped before this returns or raises."""
+    import signal
+
+    cut = [len(jobs) * i // k for i in range(k + 1)]
+    shards = [jobs[lo:hi] for lo, hi in zip(cut, cut[1:])]
+    get_threads, set_threads, stop_pool = blas
+    threads = get_threads()
+    set_threads(1)
+    children = {}                   # shard -> (pid, read end of its pipe), until reaped
+    try:
+        for i in range(1, k):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(r)
+                _play_child(shards[i], parallel, w)
+            os.close(w)
+            children[i] = (pid, open(r, "rb"))
+        results = _run_shard(shards[0], parallel)
+        for i in range(1, k):
+            pid, pipe = children[i]
+            with pipe:
+                payload = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[i]
+            if not payload:
+                raise RuntimeError(f"match shard {i} of {k} died with exit status "
+                                   f"{os.waitstatus_to_exitcode(status)}")
+            out = pickle.loads(payload)
+            if isinstance(out, tuple):      # the exception the child raised, its traceback
+                raise out[0] from RuntimeError(f"match shard {i} of {k} raised:\n{out[1]}")
+            results += [MatchResult(job, *played) for job, played in zip(shards[i], out)]
+        return results
+    finally:
+        # after a fork the restore restarts the pool, whose workers then spin
+        # for about 0.1 s; stopped, it restarts on the next threaded call
+        set_threads(threads)
+        if stop_pool is not None:
+            stop_pool()
+        for pid, pipe in children.values():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _play_child(jobs: list[MatchJob], parallel: int, w: int) -> None:
+    """In a forked child: play one shard, write its results, or the exception
+    it raised, pickled to ``w``, and exit without returning."""
+    code = 1
+    try:
+        try:
+            out = [(r.winner, r.end_step, r.game, r.counts) for r in _run_shard(jobs, parallel)]
+        except Exception as exc:
+            import traceback
+            out = (exc, traceback.format_exc())
+        with open(w, "wb") as f:
+            f.write(pickle.dumps(out, pickle.HIGHEST_PROTOCOL))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _run_shard(jobs: list[MatchJob], parallel: int) -> list[MatchResult]:
+    """The lockstep loop: every job played to completion in this process."""
     results: list[MatchResult | None] = [None] * len(jobs)
     queue = list(enumerate(jobs))
     live: list[tuple[int, _LiveMatch]] = []

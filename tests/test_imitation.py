@@ -201,9 +201,10 @@ def test_macrobatch_resimulates_each_picked_game_once(tmp_path, monkeypatch):
     reruns = collections.Counter()
     rerun = dataset.rerun
 
-    def counting_rerun(header, events, on_decision=None):
+    def counting_rerun(header, events, on_decision=None, record_events=True):
         reruns[header["seed"]] += 1
-        return rerun(header, events, on_decision)
+        assert not record_events, "the loader never reads the re-simulation's events"
+        return rerun(header, events, on_decision, record_events)
 
     monkeypatch.setattr(dataset, "rerun", counting_rerun)
     loader = WindowLoader(d, seed=2, holdout_fraction=0)

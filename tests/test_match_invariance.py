@@ -52,6 +52,8 @@ def test_argmax_sides_draw_nothing_and_ignore_their_rng(monkeypatch):
             return rng
 
         monkeypatch.setattr(match, "side_rng", spy)
+        # one shard: the spy records only the calls made in this process
+        monkeypatch.setattr(match, "_usable_cpus", lambda: 1)
         hashes = _stream_hashes(run_matches(jobs))
         assert sum(is_net for is_net, _, _ in made) == 3
         for is_net, rng, state in made:

@@ -1,11 +1,12 @@
 """The match runner's schedule and counters.
 
 Hypothesis draws job lists (a net against itself, a net against a script,
-two different nets, and one net under two decode modes), a ``parallel`` and a
-job order; every job must play the event stream it plays alone. While k games
-in which one net plays both sides are live, each forward of that net holds at
-least k rows. A match's counters equal the event counts of the same games,
-and events off leaves them unchanged.
+two different nets, and one net under two decode modes), a ``parallel``, a
+count of usable CPUs (so of shards) and a job order; every job must play the
+event stream, counters, winner and end step it plays alone. While k games of
+one shard in which one net plays both sides are live, each forward of that
+net in that shard holds at least k rows. A match's counters equal the event
+counts of the same games, and events off leaves them unchanged.
 """
 
 import hashlib
@@ -36,6 +37,10 @@ def _stream(result) -> str:
     return hashlib.sha256(json.dumps(result.game.events, sort_keys=True).encode()).hexdigest()
 
 
+def _played(result) -> tuple:
+    return _stream(result), result.counts, result.winner, result.end_step
+
+
 @st.composite
 def job_lists(draw):
     jobs = []
@@ -53,10 +58,11 @@ def job_lists(draw):
 @given(jobs=job_lists(), data=st.data())
 def test_each_job_plays_as_it_plays_alone(jobs, data):
     parallel = data.draw(st.integers(1, len(jobs)), label="parallel")
+    cpus = data.draw(st.integers(1, 3), label="usable CPUs")
     order = data.draw(st.permutations(range(len(jobs))), label="order")
-    alone = [_stream(run_matches([job])[0]) for job in jobs]
+    alone = [_played(run_matches([job])[0]) for job in jobs]
 
-    live, rows_short = [], []
+    live = []
 
     class Spied(match._LiveMatch):
         def __init__(self, job):
@@ -66,21 +72,23 @@ def test_each_job_plays_as_it_plays_alone(jobs, data):
     step = PolicyNet.step
 
     def spy(net, batch, state, mode="sample", **kwargs):
-        # live games in which this (net, mode) plays both sides: each has a
-        # due decision, so each brings a row to this forward
+        # live games of this shard in which this (net, mode) plays both
+        # sides: each has a due decision, so each brings a row to this
+        # forward; raised in a child shard, the failure reaches the caller
         k = sum(not m.game.done and all(getattr(a, "net", None) is net
                                         and a.mode == mode for a in m.job.agents)
                 for m in live)
-        if batch.size < k:
-            rows_short.append((batch.size, k))
+        assert batch.size >= k, f"a forward of {batch.size} rows while {k} self-play games are live"
         return step(net, batch, state, mode=mode, **kwargs)
 
+    ordered = [jobs[i] for i in order]
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(match, "_usable_cpus", lambda: cpus)
         mp.setattr(match, "_LiveMatch", Spied)
         mp.setattr(PolicyNet, "step", spy)
-        results = run_matches([jobs[i] for i in order], parallel=parallel)
-    assert [_stream(r) for r in results] == [alone[i] for i in order]
-    assert not rows_short, f"forwards with fewer rows than live self-play games: {rows_short}"
+        results = run_matches(ordered, parallel=parallel)
+    assert all(r.job is job for r, job in zip(results, ordered, strict=True))
+    assert [_played(r) for r in results] == [alone[i] for i in order]
 
 
 def _event_counts(game) -> tuple[dict, dict]:

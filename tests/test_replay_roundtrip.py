@@ -7,6 +7,7 @@ outcome, and the bytes of the observation each decision saw.
 """
 
 import hashlib
+import pickle
 import tempfile
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from _helpers import random_legal_action
 from hypothesis import given, settings, strategies as st
 
 from gridleague.env import ARCHETYPES, Game, ScriptedPolicy, constants as C
-from gridleague.env.replay import read_replay, rerun, write_replay
+from gridleague.env.replay import read_replay, rerun, verify_replay, write_replay
 
 OBS_FIELDS = ("scalar", "spatial", "unit_type", "unit_cont", "unit_mask", "slot_uid",
               "action_mask", "select_mask", "target_mask", "position_mask")
@@ -74,3 +75,13 @@ def test_replay_round_trip_reproduces_game_and_observations(seed, variant, playe
     assert (again.outcome.winner, again.outcome.end_step) == \
         (game.outcome.winner, game.outcome.end_step)
     assert reseen == seen
+
+
+def test_pickled_game_writes_a_replay_that_verifies(tmp_path):
+    """A finished game sent between processes keeps what its replay needs and
+    shares its map's read-only height plane again."""
+    game, _ = _play(11, "kairos_toy", ("RUSH", "random"), max_steps=150)
+    copy = pickle.loads(pickle.dumps(game))
+    write_replay(tmp_path / "game.jsonl", copy)
+    assert verify_replay(tmp_path / "game.jsonl")
+    assert copy._height is game._height and not copy._height.flags.writeable
