@@ -10,26 +10,27 @@ grow, ``_spawn`` appends, and ``del`` keeps the order of the rest. Code that
 spawns while it iterates walks a list fixed before it started, so new units
 wait for the next step.
 
-Lookups over units use indexes instead of a scan of every unit per query.
+Lookups over units read indexes; only an index rebuild scans every unit.
 
 The kept index (``_index``) holds what changes only when a unit appears or
 disappears or a building or patch changes state: the complete bases of each
 player, the patches with minerals left, the flat free-cell grid (no building
 or patch on the cell) and whether any cell is free, the players that own a
-base, complete or not, each player's building cells, and, in uid order, the
-mobile units, the workers and the producers (both players' buildings and the
-workers). ``_spawn``, a death in attack, a building completing in produce and
-a patch depleting in harvest drop it, and the next read rebuilds it. So the
-index lives across steps, and every observation between two rebuilds shares
-one read-only ``free`` array. Each sub-step walks only the list of the units
-it acts on: cooldowns, move and attack the mobile units (no other unit has a
-cooldown, an order or an attack), harvest the workers, produce the producers
-as they were at the start of the sub-step (a spawn drops the index, not the
-list, so new units wait for the next step). Harvesters look up where to
-deposit and which patch to mine next in it, ``_check_end`` reads who still
-owns a base, and producers and ``observe`` read the free grid. Code that
-edits ``units`` or a unit's state directly leaves the index stale until its
-next rebuild.
+base, complete or not, each player's building cells, and, in uid order, each
+player's units (``owned``), the mobile units, the workers and the producers
+(both players' buildings and the workers). ``_spawn``, a death in attack, a
+building completing in produce and a patch depleting in harvest drop it, and
+the next read rebuilds it. So the index lives across steps, and every
+observation between two rebuilds shares one read-only ``free`` array. Each
+sub-step walks only the list of the units it acts on: cooldowns, move and
+attack the mobile units (no other unit has a cooldown, an order or an
+attack), harvest the workers, produce the producers as they were at the
+start of the sub-step (a spawn drops the index, not the list, so new units
+wait for the next step). Harvesters look up where to deposit and which patch
+to mine next in it, ``_check_end`` reads who still owns a base, producers and
+``observe`` read the free grid, and vision, observation groups, cell maps and
+the entity cap read each player's units. Code that edits ``units`` or a
+unit's state directly leaves the index stale until its next rebuild.
 
 Idle military units auto-target from per-player occupied-cell sets, built at
 the first such unit of an attack sub-step from the index's building cells and
@@ -61,7 +62,7 @@ import numpy as np
 
 from . import constants as C
 from .types import (SELECTABLE_BY_TYPE, MatchOutcome, Observation, Order, PlayerState,
-                    StructuredAction, Unit, cell_grid)
+                    StructuredAction, Unit)
 
 
 def cheby(ax, ay, bx, by) -> int:
@@ -156,6 +157,7 @@ class _Index(NamedTuple):
     any_free: bool                          # some cell is free
     based: frozenset[int]                   # the players that own a base, complete or not
     built: tuple[int, int]                  # each player's building cells, as a cell set
+    owned: tuple[list[Unit], list[Unit]]    # each player's units, uid order
     mobile: list[Unit]                      # the units of MOBILE_TYPES, uid order
     workers: list[Unit]                     # uid order
     producers: list[Unit]                   # both players' buildings and the workers, uid order
@@ -232,31 +234,30 @@ class Game:
             self.events.append({"step": self.step_count, "player": player,
                                 "kind": kind, "payload": payload})
 
-    def player_units(self, player: int) -> list[Unit]:
-        return [u for u in self.units.values() if u.player == player]
-
     def entity_count(self, player: int) -> int:
-        return sum(1 for u in self.units.values() if u.player == player)
+        return len(self._index().owned[player])
 
     def _index(self) -> _Index:
         """The kept index, rebuilt first if it is stale."""
         if self._kept is None:
             bases, patches, based, built = ([], []), [], set(), [0, 0]
-            mobile, workers, producers = [], [], []
+            owned, mobile, workers, producers = ([], []), [], [], []
             free = np.ones(C.GRID * C.GRID, dtype=bool)
             for u in self.units.values():
+                cell = u.x * C.GRID + u.y
+                if u.type == C.MINERAL:
+                    free[cell] = False
+                    if u.remaining > 0:
+                        patches.append(u)
+                    continue
+                owned[u.player].append(u)
                 if u.type in C.MOBILE_TYPES:
                     mobile.append(u)
                     if u.type == C.WORKER:
                         workers.append(u)
                         producers.append(u)
                     continue
-                cell = u.x * C.GRID + u.y
                 free[cell] = False
-                if u.type == C.MINERAL:
-                    if u.remaining > 0:
-                        patches.append(u)
-                    continue
                 producers.append(u)
                 built[u.player] |= 1 << cell
                 if u.type == C.BASE:
@@ -265,38 +266,28 @@ class Game:
                         bases[u.player].append(u)
             free.flags.writeable = False    # observations share it
             self._kept = _Index(bases, patches, free, bool(free.any()), frozenset(based),
-                                tuple(built), mobile, workers, producers)
+                                tuple(built), owned, mobile, workers, producers)
         return self._kept
 
     def _seen(self, player: int) -> int:
         """The cells in ``player``'s vision, as a cell set."""
         seen = 0
-        for u in self.units.values():
-            if u.player == player:
-                seen |= _square(C.VISION[u.type], u.x, u.y)
+        for u in self._index().owned[player]:
+            seen |= _square(C.VISION[u.type], u.x, u.y)
         return seen
 
-    def visibility(self, player: int) -> np.ndarray:
-        return cell_grid(self._seen(player))
-
     def _groups(self, player: int, seen: int):
-        mine, enemy, neutral = [], [], []
-        for u in self.units.values():
-            if u.player == player:
-                mine.append(u)
-            elif u.player == -1:
-                if u.remaining > 0:
-                    neutral.append(u)
-            elif seen >> (u.x * C.GRID + u.y) & 1:
-                enemy.append(u)
-        return mine, enemy, neutral
+        """Mine, the enemies in ``seen`` and the patches (the index's own lists: read only)."""
+        index = self._index()
+        enemy = [u for u in index.owned[1 - player] if seen >> (u.x * C.GRID + u.y) & 1]
+        return index.owned[player], enemy, index.patches
 
     # ------------------------------------------------------------ observation
 
     def observe(self, player: int) -> Observation:
+        index = self._index()
         seen = self._seen(player)
         mine, enemy, neutral = self._groups(player, seen)
-        index = self._index()
 
         n = C.MAX_UNITS
         types, feats, uids = [], [], []
@@ -305,11 +296,6 @@ class Game:
             types.append([u.type for u in shown])
             feats.append([_features(u) for u in shown])
             uids.append([u.uid for u in shown])
-
-        # neutral < enemy < mine: a later cell overwrites, so each keeps the largest
-        relation = tuple((u.x, u.y, value)
-                         for members, value in ((neutral, 0.25), (enemy, 0.5), (mine, 1.0))
-                         for u in members)
 
         ps = self.players[player]
         counts = [0] * C.N_CONSTRUCTIBLE
@@ -337,7 +323,7 @@ class Game:
             types=tuple(types), feats=tuple(feats), uids=tuple(uids),
             **self._legality(player, mine, enemy, neutral, index.any_free,
                              supply_cap - supply_used),
-            free=index.free, height=self._height, seen=seen, relation=relation,
+            free=index.free, height=self._height, seen=seen,
         )
         self._given[player] = obs
         return obs
@@ -537,9 +523,8 @@ class Game:
     def _cell_map(self, player: int) -> dict:
         """Each cell that ``player``'s units stand on, mapped to its lowest-uid unit there."""
         cells = {}
-        for v in self.units.values():
-            if v.player == player:
-                cells.setdefault((v.x, v.y), v)
+        for v in self._index().owned[player]:
+            cells.setdefault((v.x, v.y), v)
         return cells
 
     @staticmethod

@@ -176,7 +176,6 @@ class Observation:
     free: np.ndarray                # (G*G,) bool, read-only: no building or patch on the cell
     height: np.ndarray              # (G, G) f32, read-only: the map's height plane
     seen: int                       # the cells in vision, as a cell set
-    relation: tuple[tuple[int, int, float], ...]   # per unit; a later cell overwrites
 
     @property
     def n_enemy(self) -> int:
@@ -256,12 +255,17 @@ class Observation:
     @cached_property
     def spatial(self) -> np.ndarray:
         """(G, G, SPATIAL_CHANNELS) f32: height, vision, player relation
-        (neutral 0.25, enemy 0.5, mine 1.0) and free cells."""
+        (neutral 0.25, enemy 0.5, mine 1.0) and free cells. Relation is read
+        from the shown units, which in play are all of them: the entity cap
+        and every map's patch count are within MAX_UNITS."""
         out = np.zeros((C.GRID, C.GRID, C.SPATIAL_CHANNELS), dtype=np.float32)
         out[:, :, 0] = self.height
         out[:, :, 1] = cell_grid(self.seen)
         rel = out[:, :, 2]
-        for x, y, value in self.relation:
-            rel[x, y] = value
+        # neutral < enemy < mine: a later cell overwrites, so each keeps the
+        # largest; GRID is a power of two, so x / GRID * GRID is exact
+        for group, value in ((2, 0.25), (1, 0.5), (0, 1.0)):
+            for f in self.feats[group]:
+                rel[int(f[0] * C.GRID), int(f[1] * C.GRID)] = value
         out[:, :, 3] = self.free.reshape(C.GRID, C.GRID)
         return out

@@ -115,6 +115,9 @@ def _entry_problem(entry) -> str | None:
     names = entry.get("archetypes")
     if not isinstance(names, list) or len(names) != 2 or not all(isinstance(a, str) for a in names):
         return "'archetypes' is not two strings"
+    end = entry.get("end_step")
+    if type(end) is not int or end < 0:
+        return "'end_step' is not an int >= 0"
     return None
 
 
@@ -216,6 +219,15 @@ class WindowLoader:
         if not self.train_sides:
             raise ValueError(f"{dataset_dir}: holding out {n_hold} of {len(games)} games "
                              f"leaves none to train on")
+        # a side decides at most once per step, so one pick cuts at most this many windows
+        longest = max(self.index["games"][gi]["end_step"] for gi, _ in self.train_sides)
+        per_pick = -(-longest // window)
+        if games_per_macrobatch * per_pick < batch_windows:
+            raise ValueError(
+                f"{dataset_dir}: {games_per_macrobatch} games per macro-batch, with the "
+                f"longest training game at end_step {longest} and window {window}, cut at "
+                f"most {games_per_macrobatch * per_pick} windows, fewer than "
+                f"batch_windows {batch_windows}")
 
     def sample_trajectories(self, k: int, sides=None) -> list[Trajectory]:
         """k picked game sides, re-simulating each picked game once.
@@ -242,7 +254,8 @@ class WindowLoader:
 
         A window start's state depends only on earlier steps, so the last
         window of a trajectory is never encoded, and the zero padding past a
-        shorter trajectory's end never reaches a stored state.
+        shorter trajectory's end never reaches a stored state. A trajectory
+        picked twice is encoded once and its rows copied to each of its columns.
         """
         b, w = len(trajs), self.window
         lengths = [(len(ws) - 1) * w for ws in windows_per_traj]
@@ -250,11 +263,15 @@ class WindowLoader:
         starts = [net.initial_state(b)]
         if t:
             block = np.zeros((t, b, net.cfg.core_input_dim), dtype=net.dtype)
+            columns: dict[int, list[int]] = {}
+            for i, tr in enumerate(trajs):
+                columns.setdefault(id(tr), []).append(i)
             with T.no_grad():
-                for i, (tr, n) in enumerate(zip(trajs, lengths)):
+                for cols in columns.values():
+                    tr, n = trajs[cols[0]], lengths[cols[0]]
                     if n:
                         batch = ObsBatch(tr.observations[:n], [tr.z] * n)
-                        block[:n, i] = net.encode(batch)[0].data
+                        block[:n, cols] = net.encode(batch)[0].data[:, None]
                 _, states = net.recur(T.Tensor(block.reshape(t * b, -1)), b, t, starts[0])
             starts += [(h.data, c.data) for h, c in states]
         for i, ws in enumerate(windows_per_traj):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Tensor
+from .core import NumericError, Tensor
 
 
 class Adam:
@@ -31,12 +31,20 @@ class Adam:
         whether an op that would give it exact zeros was built. One that has
         never had a gradient keeps its bytes: its moments are zero, so its
         update is exactly 0.
+
+        A non-finite gradient norm raises ``NumericError`` before any
+        parameter, moment or the step count changes.
         """
         sq = 0.0
         for p in self.params.values():
             if p.grad is not None:
                 sq += float((p.grad.astype(np.float64) ** 2).sum())
         norm = float(np.sqrt(sq))
+        if not np.isfinite(norm):
+            bad = [k for k, p in self.params.items()
+                   if p.grad is not None and not np.isfinite(p.grad).all()]
+            raise NumericError(f"adam step {self.t + 1}: gradient norm {norm} "
+                               f"(non-finite gradients in {bad})")
         scale = 1.0
         if max_grad_norm is not None and norm > max_grad_norm > 0:
             scale = max_grad_norm / (norm + 1e-12)

@@ -6,10 +6,10 @@ square meets) and vision (a union of cell sets) are checked on random
 layouts, several units to a cell and the grid's edges included, against
 the scans they replaced. The index kept across steps (complete bases,
 patches with minerals, free cells and whether any is free, players with a
-base, building cells, and the mobile, worker and producer lists) is checked
-against a scan after every step of random legal and scripted games on every
-map, and of a game set up to deplete a patch, complete a base and kill a
-base. The memoized action mask is checked against the list-building rule it
+base, building cells, and each player's units and the mobile, worker and
+producer lists) is checked against a scan after every step of random legal
+and scripted games on every map, and of a game set up to deplete a patch,
+complete a base and kill a base. The memoized action mask is checked against the list-building rule it
 replaced on observations of scripted and random legal games on every map,
 and the shared height plane against its per-cell formula.
 """
@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from gridleague.env import ARCHETYPES, Game, ScriptedPolicy, constants as C
 from gridleague.env.engine import _square, cheby
-from gridleague.env.types import Order
+from gridleague.env.types import Order, cell_grid
 
 cells = st.integers(0, C.GRID - 1)
 units = st.lists(st.tuples(st.sampled_from(range(C.N_CONSTRUCTIBLE)), st.integers(0, 1),
@@ -85,10 +85,11 @@ def test_vision_is_the_union_of_unit_squares(layout):
     g = _game(layout)
     for player in (0, 1):
         vis = np.zeros((C.GRID, C.GRID), dtype=bool)
-        for u in g.player_units(player):
-            r = C.VISION[u.type]
-            vis[max(0, u.x - r):u.x + r + 1, max(0, u.y - r):u.y + r + 1] = True
-        got = g.visibility(player)
+        for u in g.units.values():
+            if u.player == player:
+                r = C.VISION[u.type]
+                vis[max(0, u.x - r):u.x + r + 1, max(0, u.y - r):u.y + r + 1] = True
+        got = cell_grid(g._seen(player))
         assert got.dtype == bool and np.array_equal(got, vis)
 
 
@@ -118,6 +119,11 @@ def _assert_index_is_a_scan(game: Game) -> None:
         listed = getattr(kept, name)
         assert [u.uid for u in listed] == [u.uid for u in units if u.type in kinds], name
         assert all(game.units.get(u.uid) is u for u in listed), name
+    for p in (0, 1):
+        assert [u.uid for u in kept.owned[p]] == [u.uid for u in units if u.player == p]
+        assert all(game.units.get(u.uid) is u for u in kept.owned[p])
+        # the relation plane shows each player's units only while the cap holds
+        assert len(kept.owned[p]) <= C.MAX_UNITS
 
 
 @pytest.mark.parametrize("variant", sorted(C.MAP_VARIANTS))

@@ -15,6 +15,7 @@ from gridleague.env import (
     verify_replay,
     write_replay,
 )
+from gridleague.env.types import cell_grid
 
 
 def _obs_bytes(obs):
@@ -34,7 +35,7 @@ def test_reset_determinism_identical_observation_bytes():
 def test_initial_economy():
     g = Game(0, "kairos_toy")
     for p in (0, 1):
-        units = g.player_units(p)
+        units = [u for u in g.units.values() if u.player == p]
         assert sum(1 for u in units if u.type == C.BASE) == 1
         assert sum(1 for u in units if u.type == C.WORKER) == C.INITIAL_WORKERS
         assert g.players[p].minerals == C.INITIAL_MINERALS
@@ -129,7 +130,7 @@ def test_fog_of_war_hides_distant_enemies():
     obs = g.observe(0)
     assert obs.unit_mask[1].sum() > 0
     # every visible enemy really is within some friendly unit's vision
-    vis = g.visibility(0)
+    vis = cell_grid(g._seen(0))
     for s in np.flatnonzero(obs.unit_mask[1]):
         x = round(obs.unit_cont[1, s, 0] * C.GRID)
         y = round(obs.unit_cont[1, s, 1] * C.GRID)

@@ -179,6 +179,23 @@ def test_window_loader_refuses_a_split_with_nothing_to_train_on(tmp_path):
         loader.sample_trajectories(2, loader.holdout_sides)
 
 
+def test_window_loader_refuses_sizes_that_can_never_fill_a_batch(tmp_path):
+    """A side decides at most once per step, so a pick of a game that ended at
+    step e cuts at most ceil(e / window) windows."""
+    d = tmp_path / "short"
+    generate_dataset(d, 3, seed=0, max_steps=40)
+    longest = max(g["end_step"] for g in dataset.load_index(d)["games"])
+    most = 2 * -(-longest // 16)
+    with pytest.raises(ValueError, match=f"fewer than batch_windows {most + 1}") as err:
+        WindowLoader(d, window=16, batch_windows=most + 1, games_per_macrobatch=2,
+                     holdout_fraction=0)
+    assert str(d) in str(err.value)
+    with pytest.raises(ValueError, match="batch_windows 16"):
+        WindowLoader(d, window=16, batch_windows=16, games_per_macrobatch=2,
+                     holdout_fraction=0)
+    WindowLoader(d, window=16, batch_windows=most, games_per_macrobatch=2, holdout_fraction=0)
+
+
 def test_both_sides_from_one_resimulation_equal_single_side_loads(tmp_path):
     d = _tiny_dataset(tmp_path, n=1)
     entry = json.loads((d / "index.json").read_text())["games"][0]

@@ -5,6 +5,7 @@ from gridleague import tensor as T
 from gridleague.tensor import (
     Adam,
     CheckpointError,
+    NumericError,
     ResidualLSTM,
     Tensor,
     grad_check,
@@ -158,6 +159,26 @@ def test_adam_skips_a_parameter_without_gradients_until_it_gets_one():
     np.testing.assert_allclose(opt._v["used"], v * opt.beta2 ** 3)
     assert (np.sign(start - moved) == np.sign(g)).all()
     assert (np.sign(moved - used.data) == np.sign(g)).all()
+
+
+@pytest.mark.parametrize("max_grad_norm", [None, 1.0])
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_adam_refuses_a_non_finite_gradient_before_changing_anything(max_grad_norm, bad):
+    rng = np.random.default_rng(8)
+    a, b = T.param(rng.standard_normal(3)), T.param(rng.standard_normal((2, 2)))
+    opt = Adam({"a": a, "b": b}, lr=0.1)
+    a.grad, b.grad = rng.standard_normal(3), rng.standard_normal((2, 2))
+    opt.step(max_grad_norm)         # moments that a bad step could spoil
+
+    def state():
+        arrays = [a.data, b.data, *opt._m.values(), *opt._v.values()]
+        return [x.tobytes() for x in arrays], opt.t
+
+    before = state()
+    a.grad, b.grad = np.array([1.0, bad, 1.0]), np.ones((2, 2))
+    with pytest.raises(NumericError, match=r"adam step 2: .*\['a'\]"):
+        opt.step(max_grad_norm)
+    assert state() == before
 
 
 def test_adam_descends_on_quadratic():

@@ -68,7 +68,8 @@ def test_broken_index_names_path(tmp_path):
 
 
 
-GOOD = {"file": "game.jsonl", "kept_sides": [0, 1], "archetypes": ["RUSH", "ECON"]}
+GOOD = {"file": "game.jsonl", "kept_sides": [0, 1], "archetypes": ["RUSH", "ECON"],
+        "end_step": 40}
 
 
 def _without(key):
@@ -84,8 +85,12 @@ def _without(key):
     ([GOOD, {**GOOD, "kept_sides": [2]}], "'kept_sides'"),
     ([GOOD, {**GOOD, "kept_sides": 0}], "'kept_sides'"),
     ([GOOD, {**GOOD, "archetypes": ["RUSH"]}], "'archetypes'"),
+    ([GOOD, _without("end_step")], "'end_step'"),
+    ([GOOD, {**GOOD, "end_step": 40.0}], "'end_step'"),
+    ([GOOD, {**GOOD, "end_step": -1}], "'end_step'"),
 ], ids=["games_not_list", "entry_not_object", "no_file", "file_not_str", "no_kept_sides",
-        "side_2", "sides_not_list", "one_archetype"])
+        "side_2", "sides_not_list", "one_archetype", "no_end_step", "float_end_step",
+        "negative_end_step"])
 def test_malformed_index_entry_names_path_and_entry(tmp_path, games, problem):
     path = tmp_path / "index.json"
     path.write_text(json.dumps({"format": "gridleague-dataset-v1", "games": games}))
