@@ -120,11 +120,14 @@ def read_replay(path):
     int ``seed``/``max_steps``/``end_step`` or a known ``variant``, an event
     whose fields have the wrong types, and a replay whose last event is not
     the ``end`` event at the header's ``end_step`` (a file cut at a line
-    boundary).
+    boundary). A file that is not UTF-8 raises ReplayError naming the byte.
     """
     path = Path(path)
-    with path.open() as f:
-        lines = f.read().splitlines()
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ReplayError(f"{path}: not UTF-8 text (byte {exc.start} is "
+                          f"{exc.object[exc.start]:#04x})") from exc
     if not lines:
         raise ReplayError(f"{path}: empty replay")
     header = _parse_line(path, 1, lines[0], _header_problem)

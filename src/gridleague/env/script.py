@@ -287,18 +287,10 @@ def play_scripted_match(arch0: str, arch1: str, seed: int,
                         variant: str = "triton_toy",
                         max_steps: int = C.MAX_STEPS,
                         record_events: bool = True) -> Game:
-    """Run one archetype-vs-archetype game to completion."""
-    game = Game(seed, variant, max_steps=max_steps, record_events=record_events)
-    rngs = [np.random.default_rng(np.random.SeedSequence([seed, side, 977]))
-            for side in (0, 1)]
-    policies = [ScriptedPolicy(arch0, rngs[0]), ScriptedPolicy(arch1, rngs[1])]
-    due = [0, 0]
-    while not game.done:
-        acts = {}
-        for p in (0, 1):
-            if game.step_count >= due[p]:
-                action = policies[p].act(game.observe(p))
-                acts[p] = action
-                due[p] = game.step_count + action.delay
-        game.step_env(acts)
-    return game
+    """Run one archetype-vs-archetype game to completion, as one job of
+    ``match.run_matches``."""
+    from ..match import MatchJob, ScriptedAgent, run_matches   # match imports env
+
+    job = MatchJob(seed, variant, (ScriptedAgent(arch0), ScriptedAgent(arch1)),
+                   max_steps=max_steps, record_events=record_events)
+    return run_matches([job])[0].game

@@ -2,8 +2,11 @@
 re-simulates them into training windows.
 
 A dataset directory holds one replay JSONL per game and an index.json with
-tier/outcome metadata. Trajectories are regenerated from the action stream
-(the engine is bit-deterministic), so the on-disk size stays tiny.
+tier/outcome metadata, including each side's decision count (``decisions``).
+The games are played through ``match.run_matches``, so on every usable core,
+and the files do not depend on how many cores played them. Trajectories are
+regenerated from the action stream (the engine is bit-deterministic), so the
+on-disk size stays tiny.
 
 The loader stores the recurrent state at every window start. It encodes each
 sampled trajectory once, as one observation batch, and then runs only the
@@ -24,54 +27,60 @@ import numpy as np
 from .. import tensor as T
 from ..env import constants as C
 from ..env.replay import read_replay, rerun, write_replay
-from ..env.script import ARCHETYPES, play_scripted_match
+from ..env.script import ARCHETYPES
 from ..env.stats import extract_statistic
 from ..env.types import Observation, StatisticZ, StructuredAction
+from ..match import MatchJob, ScriptedAgent, run_matches
 from ..net import ObsBatch
 
 INDEX_NAME = "index.json"
 TIERS = ("full", "winners")
 
 
-def _one_game(out_dir: Path, seed: int, i: int, mix, variants, max_steps: int) -> dict:
-    rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
-    a0 = mix[int(rng.integers(0, len(mix)))]
-    a1 = mix[int(rng.integers(0, len(mix)))]
-    variant = variants[int(rng.integers(0, len(variants)))]
-    game_seed = int(rng.integers(0, 2**31))
-    game = play_scripted_match(a0, a1, game_seed, variant, max_steps=max_steps)
-    fname = f"game_{i:05d}.jsonl"
-    write_replay(out_dir / fname, game, meta={"archetypes": [a0, a1]})
-    return {
-        "file": fname,
-        "seed": game_seed,
-        "variant": variant,
-        "archetypes": [a0, a1],
-        "winner": game.outcome.winner,
-        "end_step": game.outcome.end_step,
-    }
-
-
 def generate_dataset(out_dir, n_games: int, seed: int, tier: str = "full",
                      mix: tuple[str, ...] = ARCHETYPES,
                      variants: tuple[str, ...] = C.TRAIN_VARIANTS,
                      max_steps: int = C.MAX_STEPS) -> dict:
-    """Self-play among archetypes; the winners tier keeps only winning sides."""
+    """Self-play among archetypes; the winners tier keeps only winning sides.
+
+    Game i draws its two archetypes, its map and its game seed from the
+    stream (seed, i). All games are played by one ``run_matches`` call, on
+    every usable core; the replays and the index are written in game order.
+    Each index entry records the sides' decision counts as ``decisions``.
+    Bad arguments raise ``ValueError`` before any file is written.
+    """
     if n_games < 1:
         raise ValueError("n_games must be >= 1")
     if tier not in TIERS:
         raise ValueError(f"tier must be one of {TIERS}")
+    if not mix:
+        raise ValueError("mix names no archetype")
     for a in mix:
         if a not in ARCHETYPES:
             raise ValueError(f"unknown archetype {a!r} in mix")
+    if not variants:
+        raise ValueError("variants names no map")
+    for v in variants:
+        if v not in C.MAP_VARIANTS:
+            raise ValueError(f"unknown map {v!r} in variants")
+    jobs = []
+    for i in range(n_games):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
+        agents = tuple(ScriptedAgent(mix[int(rng.integers(0, len(mix)))]) for _ in range(2))
+        variant = variants[int(rng.integers(0, len(variants)))]
+        jobs.append(MatchJob(int(rng.integers(0, 2**31)), variant, agents,
+                             max_steps=max_steps, record_events=True))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    games = [_one_game(out_dir, seed, i, mix, variants, max_steps) for i in range(n_games)]
-    for g in games:
-        if tier == "winners":
-            g["kept_sides"] = [] if g["winner"] is None else [g["winner"]]
-        else:
-            g["kept_sides"] = [0, 1]
+    games = []
+    for i, r in enumerate(run_matches(jobs)):
+        archetypes = [a.archetype for a in r.job.agents]
+        fname = f"game_{i:05d}.jsonl"
+        write_replay(out_dir / fname, r.game, meta={"archetypes": archetypes})
+        kept = [0, 1] if tier == "full" else [] if r.winner is None else [r.winner]
+        games.append({"file": fname, "seed": r.job.seed, "variant": r.job.variant,
+                      "archetypes": archetypes, "winner": r.winner, "end_step": r.end_step,
+                      "decisions": [c["decisions"] for c in r.counts], "kept_sides": kept})
     index = {
         "format": "gridleague-dataset-v1",
         "seed": seed,
@@ -88,9 +97,12 @@ def generate_dataset(out_dir, n_games: int, seed: int, tier: str = "full",
 def load_index(dataset_dir) -> dict:
     path = Path(dataset_dir) / INDEX_NAME
     try:
-        index = json.loads(path.read_text())
+        index = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: broken dataset index ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text (byte {exc.start} is "
+                         f"{exc.object[exc.start]:#04x})") from exc
     if not isinstance(index, dict) or index.get("format") != "gridleague-dataset-v1":
         raise ValueError(f"{path}: not a dataset index")
     games = index.get("games")
@@ -118,6 +130,10 @@ def _entry_problem(entry) -> str | None:
     end = entry.get("end_step")
     if type(end) is not int or end < 0:
         return "'end_step' is not an int >= 0"
+    counts = entry.get("decisions")
+    if not isinstance(counts, list) or len(counts) != 2 or \
+            not all(type(n) is int and n >= 0 for n in counts):
+        return "'decisions' is not two ints >= 0"
     return None
 
 
@@ -219,13 +235,14 @@ class WindowLoader:
         if not self.train_sides:
             raise ValueError(f"{dataset_dir}: holding out {n_hold} of {len(games)} games "
                              f"leaves none to train on")
-        # a side decides at most once per step, so one pick cuts at most this many windows
-        longest = max(self.index["games"][gi]["end_step"] for gi, _ in self.train_sides)
+        # one pick cuts ceil(decisions / window) windows of its side
+        longest = max(self.index["games"][gi]["decisions"][side]
+                      for gi, side in self.train_sides)
         per_pick = -(-longest // window)
         if games_per_macrobatch * per_pick < batch_windows:
             raise ValueError(
                 f"{dataset_dir}: {games_per_macrobatch} games per macro-batch, with the "
-                f"longest training game at end_step {longest} and window {window}, cut at "
+                f"longest training side at {longest} decisions and window {window}, cut at "
                 f"most {games_per_macrobatch * per_pick} windows, fewer than "
                 f"batch_windows {batch_windows}")
 

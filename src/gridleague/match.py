@@ -1,20 +1,27 @@
 """Parallel match execution with batched network inference.
 
-The schedule: at the start of each round every live game has a due decision.
-The due decisions of each shared network and decode mode go into one forward
-pass, so every live game in which a network plays both sides brings a row to
-its forward; scripted sides act inline. Each live game then takes one step
-with its round's actions and advances with no-op steps until one of its sides
-is due again. A game that ends on the way is retired there, and a new job
-takes its place, due at once.
+Every game is played here: evaluation (``evaluate_match``), self-play, and
+the scripted games of ``env.play_scripted_match`` and of dataset generation
+(``imitation.generate_dataset``) all hand their jobs to ``run_matches``.
+
+The schedule: at the start of each round every live game has a due network
+decision, or is new. The due decisions of each shared network and decode mode
+go into one forward pass, so every live game in which a network plays both
+sides brings a row to its forward. Each live game then steps with them and
+plays on, its scripted sides acting inline and no-op steps skipped, until a
+network side is due again; a game of two scripted sides plays to its end in
+its first round. A game that ends is retired there, and a new job takes its
+place, due at once.
 
 A game's trajectory does not depend on when the runner steps it, so outcomes
 do not depend on which games share a forward, on ``parallel`` or on the job
 order: games share no state, each row of a forward reads only its own
 observation and recurrent state, and each side draws its randomness only
-from its own stream, seeded from (game seed, side). The same seeding makes
-swapping which policy sits on which side replay identical games when the
-policies are the same (the mirrored-seed evaluation trick).
+from its own stream, seeded from (game seed, side, salt). The salt is 0 for
+a network side and ``SCRIPT_SALT`` for a scripted side, the stream every
+scripted dataset game has been played with. The same seeding makes swapping
+which policy sits on which side replay identical games when the policies
+are the same (the mirrored-seed evaluation trick).
 
 Shards: with k = min(usable CPUs, jobs, ``parallel``) above 1, the caller
 plays the first of k contiguous shards of the job list and k - 1 forked
@@ -37,9 +44,10 @@ import numpy as np
 
 from . import tensor as T
 from .env import Game, ScriptedPolicy, constants as C
-from .env.types import StructuredAction
 from .net import ObsBatch, PolicyNet
 from .net.policy import N_DECISION_DRAWS
+
+SCRIPT_SALT = 977
 
 
 def side_rng(game_seed: int, side: int, salt: int = 0) -> np.random.Generator:
@@ -103,13 +111,36 @@ class _LiveMatch:
                          record_events=job.record_events)
         self.sides = []
         for side, agent in enumerate(job.agents):
-            st = _SideState(agent=agent, rng=side_rng(job.seed, side))
             if isinstance(agent, ScriptedAgent):
+                st = _SideState(agent=agent, rng=side_rng(job.seed, side, SCRIPT_SALT))
                 st.scripted = ScriptedPolicy(agent.archetype, st.rng)
             else:
+                st = _SideState(agent=agent, rng=side_rng(job.seed, side))
                 h, c = agent.net.initial_state(1)
                 st.h, st.c = h[0], c[0]
             self.sides.append(st)
+
+    def advance(self, acts: dict) -> bool:
+        """Step with the network sides' due ``acts`` and the scripted sides'
+        own, and play on so until a network side is due; True once over."""
+        game, (s0, s1) = self.game, self.sides
+        step = game.step_count
+        while True:
+            for side, st in enumerate(self.sides):
+                if st.scripted is not None and step >= st.due:
+                    acts[side] = act = st.scripted.act(game.observe(side))
+                    st.due = step + act.delay
+                    st.decisions += 1
+            game.step_env(acts)
+            due = s0.due if s0.due < s1.due else s1.due
+            while game.step_count < due and not game.done:
+                game.step_env(None)
+            if game.done:
+                return True
+            step = game.step_count
+            if (s0.scripted is None and s0.due <= step) or (s1.scripted is None and s1.due <= step):
+                return False
+            acts = {}
 
     def result(self) -> MatchResult:
         g = self.game
@@ -230,23 +261,14 @@ def _run_shard(jobs: list[MatchJob], parallel: int) -> list[MatchResult]:
         while queue and len(live) < parallel:
             idx, job = queue.pop(0)
             live.append((idx, _LiveMatch(job)))
-        # every live game has a due decision: gather them, grouped by shared
-        # network and decode mode
+        # the due network decisions, grouped by shared network and decode mode
         net_groups: dict[tuple, list] = {}
-        scripted_acts: dict[int, dict[int, StructuredAction]] = {}
         for li, (idx, m) in enumerate(live):
             for side, st in enumerate(m.sides):
-                if m.game.step_count < st.due:
-                    continue
-                obs = m.game.observe(side)
-                if st.scripted is not None:
-                    act = st.scripted.act(obs)
-                    scripted_acts.setdefault(li, {})[side] = act
-                    st.due = m.game.step_count + act.delay
-                    st.decisions += 1
-                else:
+                if st.scripted is None and m.game.step_count >= st.due:
                     key = (id(st.agent.net), st.agent.mode)
-                    net_groups.setdefault(key, []).append((li, side, st, obs))
+                    net_groups.setdefault(key, []).append((li, side, st, m.game.observe(side)))
+        net_acts = [{} for _ in live]
         for group in net_groups.values():
             agent: NetAgent = group[0][2].agent
             batch = ObsBatch([g[3] for g in group])
@@ -266,15 +288,10 @@ def _run_shard(jobs: list[MatchJob], parallel: int) -> list[MatchResult]:
                 st.h, st.c = hs[k], cs[k]
                 st.due = live[li][1].game.step_count + act.delay
                 st.decisions += 1
-                scripted_acts.setdefault(li, {})[side] = act
-        # step every live game with its actions, then on to its next due decision
+                net_acts[li][side] = act
         still = []
-        for li, (idx, m) in enumerate(live):
-            m.game.step_env(scripted_acts.get(li))
-            due = min(st.due for st in m.sides)
-            while m.game.step_count < due and not m.game.done:
-                m.game.step_env(None)
-            if m.game.done:
+        for (idx, m), acts in zip(live, net_acts):
+            if m.advance(acts):
                 results[idx] = m.result()
             else:
                 still.append((idx, m))

@@ -1,5 +1,6 @@
 import collections
 import json
+import signal
 from pathlib import Path
 
 import numpy as np
@@ -180,11 +181,10 @@ def test_window_loader_refuses_a_split_with_nothing_to_train_on(tmp_path):
 
 
 def test_window_loader_refuses_sizes_that_can_never_fill_a_batch(tmp_path):
-    """A side decides at most once per step, so a pick of a game that ended at
-    step e cuts at most ceil(e / window) windows."""
+    """A pick of a side that made n decisions cuts ceil(n / window) windows."""
     d = tmp_path / "short"
     generate_dataset(d, 3, seed=0, max_steps=40)
-    longest = max(g["end_step"] for g in dataset.load_index(d)["games"])
+    longest = max(max(g["decisions"]) for g in dataset.load_index(d)["games"])
     most = 2 * -(-longest // 16)
     with pytest.raises(ValueError, match=f"fewer than batch_windows {most + 1}") as err:
         WindowLoader(d, window=16, batch_windows=most + 1, games_per_macrobatch=2,
@@ -194,6 +194,39 @@ def test_window_loader_refuses_sizes_that_can_never_fill_a_batch(tmp_path):
         WindowLoader(d, window=16, batch_windows=16, games_per_macrobatch=2,
                      holdout_fraction=0)
     WindowLoader(d, window=16, batch_windows=most, games_per_macrobatch=2, holdout_fraction=0)
+
+
+def test_window_loader_refuses_sides_that_decide_less_than_once_per_step(tmp_path):
+    """40-step games whose sides decide 10-14 times: by end_step two picks
+    could cut 10 windows of 8, by decisions they cut at most 4. A loader
+    that constructs would never yield; the alarm turns that into a failure."""
+    d = tmp_path / "short"
+    generate_dataset(d, 3, seed=0, max_steps=40)
+    games = dataset.load_index(d)["games"]
+    assert max(g["end_step"] for g in games) == 40
+    assert max(max(g["decisions"]) for g in games) <= 16
+
+    def hung(signum, frame):
+        raise TimeoutError("no macro-batch within 8 s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(8)
+    try:
+        with pytest.raises(ValueError, match="cut at most 4 windows, fewer than batch_windows 10"):
+            loader = WindowLoader(d, window=8, batch_windows=10, games_per_macrobatch=2,
+                                  holdout_fraction=0)
+            next(loader.macrobatches(PolicyNet(NetConfig(), np.random.default_rng(0))))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_index_decisions_are_each_sides_trajectory_length(tmp_path):
+    d = _tiny_dataset(tmp_path, n=3)
+    for entry in dataset.load_index(d)["games"]:
+        trajs = load_trajectory(d, entry, (0, 1))
+        assert entry["decisions"] == [len(t.actions) for t in trajs]
+        assert all(n > 0 for n in entry["decisions"])
 
 
 def test_both_sides_from_one_resimulation_equal_single_side_loads(tmp_path):

@@ -67,9 +67,39 @@ def test_broken_index_names_path(tmp_path):
         load_index(tmp_path)
 
 
+def test_non_utf8_replay_names_file_and_byte(replay):
+    replay.write_bytes(b"\xff\xfe" + replay.read_bytes())
+    with pytest.raises(ReplayError, match=rf"{replay}: not UTF-8 text \(byte 0 is 0xff\)") as info:
+        read_replay(replay)
+    assert not isinstance(info.value, UnicodeDecodeError)
+
+
+def test_non_utf8_index_names_path_and_byte(tmp_path):
+    generate_dataset(tmp_path, n_games=1, seed=1, max_steps=30)
+    path = tmp_path / "index.json"
+    path.write_bytes(b"\xff\xfe" + path.read_bytes())
+    for load in (load_index, WindowLoader):
+        with pytest.raises(ValueError, match=r"index.json: not UTF-8 text \(byte 0 is 0xff\)") as info:
+            load(tmp_path)
+        assert type(info.value) is ValueError
+
+
+@pytest.mark.parametrize("kwargs,problem", [
+    ({"mix": ()}, "mix names no archetype"),
+    ({"mix": ("RUSH", "ZERG")}, "unknown archetype 'ZERG' in mix"),
+    ({"variants": ()}, "variants names no map"),
+    ({"variants": ("triton_toy", "atlantis")}, "unknown map 'atlantis' in variants"),
+], ids=["empty_mix", "unknown_archetype", "empty_variants", "unknown_variant"])
+def test_generate_dataset_refuses_bad_arguments_before_writing(tmp_path, kwargs, problem):
+    out = tmp_path / "ds"
+    with pytest.raises(ValueError, match=problem):
+        generate_dataset(out, n_games=2, seed=1, max_steps=30, **kwargs)
+    assert not out.exists() and not any(tmp_path.iterdir())
+
+
 
 GOOD = {"file": "game.jsonl", "kept_sides": [0, 1], "archetypes": ["RUSH", "ECON"],
-        "end_step": 40}
+        "end_step": 40, "decisions": [12, 9]}
 
 
 def _without(key):
@@ -88,9 +118,12 @@ def _without(key):
     ([GOOD, _without("end_step")], "'end_step'"),
     ([GOOD, {**GOOD, "end_step": 40.0}], "'end_step'"),
     ([GOOD, {**GOOD, "end_step": -1}], "'end_step'"),
+    ([GOOD, _without("decisions")], "'decisions'"),
+    ([GOOD, {**GOOD, "decisions": [12, 9.0]}], "'decisions'"),
+    ([GOOD, {**GOOD, "decisions": [12, -1]}], "'decisions'"),
 ], ids=["games_not_list", "entry_not_object", "no_file", "file_not_str", "no_kept_sides",
         "side_2", "sides_not_list", "one_archetype", "no_end_step", "float_end_step",
-        "negative_end_step"])
+        "negative_end_step", "no_decisions", "float_decisions", "negative_decisions"])
 def test_malformed_index_entry_names_path_and_entry(tmp_path, games, problem):
     path = tmp_path / "index.json"
     path.write_text(json.dumps({"format": "gridleague-dataset-v1", "games": games}))
